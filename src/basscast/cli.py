@@ -27,19 +27,10 @@ from . import __version__
 from .errors import (
     BasscastError,
     DegeneratePlotError,
-    DivergenceError,
-    EmptyInputError,
-    FormatError,
-    InsufficientDataError,
     NonDiffusionShapeError,
     NoRealMarketSizeError,
-    ParameterError,
-    ShapeError,
-    SingularFitError,
-    UndefinedBaselineError,
-    ValidationError,
 )
-from .evaluation import compare_models, improvement_percent
+from .evaluation import EvaluationReport, compare_models, improvement_percent
 from .fitting import derive_bass_parameters, fit_quadratic
 from .forecast import ForecastConfig, ModelVariant, forecast
 from .ingest import (
@@ -49,32 +40,13 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import TimeSeries
+from .series import TimeSeries, monthly_periods
 from .svgplot import render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
 from .tail import profile
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_INPUT_ERRORS = (
-    FormatError,
-    ValidationError,
-    EmptyInputError,
-    ParameterError,
-    ShapeError,
-    DegeneratePlotError,
-)
-_NUMERIC_ERRORS = (
-    InsufficientDataError,
-    SingularFitError,
-    DivergenceError,
-    UndefinedBaselineError,
-    NonDiffusionShapeError,
-    NoRealMarketSizeError,
-)
 
 _FORMATS = ("generic", "trends", "transactions")
 _MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
@@ -108,7 +80,7 @@ class RunManifest:
 
 
 def load_series(path: str | Path, manifest: RunManifest) -> TimeSeries:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     opts = manifest.ingest_options
     if manifest.fmt == "trends":
         return parse_google_trends_csv(text, opts)
@@ -134,15 +106,7 @@ def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
         return []
     last = periods[-1]
     if all(_MONTH_RE.match(p) for p in periods):
-        year, month = int(last[:4]), int(last[5:7])
-        labels = []
-        for _ in range(horizon):
-            month += 1
-            if month > 12:
-                month = 1
-                year += 1
-            labels.append(f"{year:04d}-{month:02d}")
-        return labels
+        return list(monthly_periods(horizon + 1, last)[1:])
     return [f"{last}+{k:04d}" for k in range(1, horizon + 1)]
 
 
@@ -214,17 +178,48 @@ def cmd_forecast(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _evaluate_one_mode(series, coeffs, tail, manifest: RunManifest, mode: str):
-    report = compare_models(
-        series, coeffs, tail, mode=mode,
-        variant=manifest.variant, clamp_nonnegative=manifest.clamp_nonnegative,
+def _compare(
+    series: TimeSeries, manifest: RunManifest, modes: tuple[str, ...]
+) -> dict[str, EvaluationReport]:
+    """Fit and profile the series once, then compare the models in each mode."""
+    coeffs = fit_quadratic(series)
+    tail = profile(series, manifest.height_fraction, manifest.ratio_scale)
+    return {
+        mode: compare_models(series, coeffs, tail, mode=mode, variant=manifest.variant,
+                             clamp_nonnegative=manifest.clamp_nonnegative)
+        for mode in modes
+    }
+
+
+def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, EvaluationReport]) -> None:
+    """report.json (one object per mode when there are two) and predictions.csv."""
+    if len(reports) > 1:
+        _write_json(out / "report.json", {mode: r.to_dict() for mode, r in reports.items()})
+        report = reports["simulated"]
+    else:
+        (report,) = reports.values()
+        _write_json(out / "report.json", report.to_dict())
+        print(f"improvement_percent {report.improvement_percent!r} "
+              f"(variant {report.variant_used.value})")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["period", "actual", "classical", "modified"])
+    for label, actual, classical, modified in zip(
+        series.periods,
+        series.demands.tolist(),
+        report.classical_predicted.tolist(),
+        report.modified_predicted.tolist(),
+    ):
+        writer.writerow([label, repr(actual), repr(classical), repr(modified)])
+    _write_text(out / "predictions.csv", buf.getvalue())
+
+
+def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
+    svg = render_comparison_svg(
+        series, report.classical_predicted, report.modified_predicted, report
     )
-    cfg = dict(mode=mode, clamp_nonnegative=manifest.clamp_nonnegative)
-    classical = forecast(series, coeffs, tail,
-                         ForecastConfig(variant=ModelVariant.CLASSICAL, **cfg))
-    modified = forecast(series, coeffs, tail,
-                        ForecastConfig(variant=manifest.variant, **cfg))
-    return report, classical, modified
+    _write_text(out / "compare.svg", svg)
 
 
 def cmd_evaluate(manifest: RunManifest, sse_pairs: list[list[float]] | None = None) -> int:
@@ -234,39 +229,8 @@ def cmd_evaluate(manifest: RunManifest, sse_pairs: list[list[float]] | None = No
             print(f"improvement_percent {value!r}")
         return EXIT_OK
     series = load_series(manifest.inputs[0], manifest)
-    coeffs = fit_quadratic(series)
-    tail = profile(series, manifest.height_fraction, manifest.ratio_scale)
-    out = Path(manifest.output_dir)
-
-    if manifest.mode == "both":
-        payload = {}
-        for mode in ("one_step", "simulated"):
-            report, classical, modified = _evaluate_one_mode(series, coeffs, tail, manifest, mode)
-            payload[mode] = report.to_dict()
-            if mode == "simulated":
-                csv_curves = (classical, modified)
-        _write_json(out / "report.json", payload)
-    else:
-        report, classical, modified = _evaluate_one_mode(
-            series, coeffs, tail, manifest, manifest.mode
-        )
-        csv_curves = (classical, modified)
-        _write_json(out / "report.json", report.to_dict())
-        print(f"improvement_percent {report.improvement_percent!r} "
-              f"(variant {report.variant_used.value})")
-
-    classical, modified = csv_curves
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["period", "actual", "classical", "modified"])
-    for i, label in enumerate(series.periods):
-        writer.writerow([
-            label,
-            repr(float(series.demands[i])),
-            repr(float(classical.predicted[i])),
-            repr(float(modified.predicted[i])),
-        ])
-    _write_text(out / "predictions.csv", buf.getvalue())
+    modes = ("one_step", "simulated") if manifest.mode == "both" else (manifest.mode,)
+    _write_evaluation(Path(manifest.output_dir), series, _compare(series, manifest, modes))
     return EXIT_OK
 
 
@@ -277,13 +241,8 @@ def cmd_plot(manifest: RunManifest) -> int:
             "series has 1 point; at least 2 are needed to draw comparison curves - "
             "provide more data"
         )
-    coeffs = fit_quadratic(series)
-    tail = profile(series, manifest.height_fraction, manifest.ratio_scale)
-    report, classical, modified = _evaluate_one_mode(
-        series, coeffs, tail, manifest, manifest.mode
-    )
-    svg = render_comparison_svg(series, classical.predicted, modified.predicted, report)
-    _write_text(Path(manifest.output_dir) / "compare.svg", svg)
+    report = _compare(series, manifest, (manifest.mode,))[manifest.mode]
+    _write_plot(Path(manifest.output_dir), series, report)
     return EXIT_OK
 
 
@@ -309,10 +268,12 @@ def cmd_synth(spec: MonoPeakSpec, start_period: str, output: Path) -> int:
 
 
 def _batch_one(manifest: RunManifest, path: str, out_dir: Path) -> tuple[str, int, str]:
-    sub = RunManifest(**{**manifest.__dict__, "inputs": [path], "output_dir": str(out_dir)})
+    """evaluate and plot as one pass: one parse, one fit, one profile, one comparison."""
     try:
-        cmd_evaluate(sub)
-        cmd_plot(sub)
+        series = load_series(path, manifest)
+        report = _compare(series, manifest, (manifest.mode,))[manifest.mode]
+        _write_evaluation(out_dir, series, {manifest.mode: report})
+        _write_plot(out_dir, series, report)
     except (BasscastError, OSError) as exc:
         return path, _exit_code_for(exc), str(exc)
     return path, EXIT_OK, "ok"
@@ -339,14 +300,8 @@ def cmd_batch(manifest: RunManifest) -> int:
     return exit_code
 
 
-def _exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return EXIT_NUMERIC
-    if isinstance(exc, _INPUT_ERRORS):
-        return EXIT_INPUT
-    if isinstance(exc, OSError):
-        return EXIT_IO
-    return EXIT_INPUT  # remaining BasscastError subclasses are input-shaped
+def _exit_code_for(exc: BasscastError | OSError) -> int:
+    return exc.exit_code if isinstance(exc, BasscastError) else EXIT_IO
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

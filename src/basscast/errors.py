@@ -2,7 +2,13 @@
 
 
 class BasscastError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    exit_code is the command line's exit status for the error: 2 for an
+    input or format problem (the default), 3 for a numeric or fit problem.
+    """
+
+    exit_code = 2
 
 
 class EmptyInputError(BasscastError):
@@ -30,9 +36,13 @@ class ParameterError(BasscastError):
 class InsufficientDataError(BasscastError):
     """Too few observations to fit the model."""
 
+    exit_code = 3
+
 
 class SingularFitError(BasscastError):
     """The regression design matrix is rank deficient."""
+
+    exit_code = 3
 
     def __init__(self, message: str, columns: tuple[str, ...] = ()):
         self.columns = columns
@@ -42,13 +52,19 @@ class SingularFitError(BasscastError):
 class NonDiffusionShapeError(BasscastError):
     """Fitted coefficients do not describe a diffusion curve (c >= 0 or a <= 0)."""
 
+    exit_code = 3
+
 
 class NoRealMarketSizeError(BasscastError):
     """The market-size quadratic has no real positive root."""
 
+    exit_code = 3
+
 
 class DivergenceError(BasscastError):
     """Simulated cumulative demand blew past the overflow guard."""
+
+    exit_code = 3
 
     def __init__(self, message: str, period: int | None = None):
         self.period = period
@@ -61,6 +77,8 @@ class ShapeError(BasscastError):
 
 class UndefinedBaselineError(BasscastError):
     """Improvement percentage is undefined for a non-positive baseline SSE."""
+
+    exit_code = 3
 
 
 class DegeneratePlotError(BasscastError):

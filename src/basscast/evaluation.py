@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,8 @@ class EvaluationReport:
 
     rmse/mae/mape describe the selected variant's predictions; mape skips
     zero-demand periods (mape_skipped counts them) and is None when every
-    period is zero.
+    period is zero. classical_predicted and modified_predicted are the two
+    compared curves over the observed range; to_dict() leaves them out.
     """
 
     sse_classical: float
@@ -33,10 +34,14 @@ class EvaluationReport:
     mae: float
     mape: float | None
     mape_skipped: int
+    classical_predicted: np.ndarray = field(repr=False, compare=False)
+    modified_predicted: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
+        # The curves are the fields that take no part in comparison.
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         payload["variant_used"] = self.variant_used.value
+        payload["tail_profile"] = asdict(self.tail_profile)
         return payload
 
 
@@ -143,4 +148,6 @@ def compare_models(
         mae=mae(series, modified.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
+        classical_predicted=classical.predicted,
+        modified_predicted=modified.predicted,
     )

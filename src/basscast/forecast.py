@@ -12,6 +12,7 @@ subtractive one, with r1/r2 taken from the tail profile.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -96,6 +97,43 @@ def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> fl
     raise ParameterError(f"no correction defined for variant {variant}")
 
 
+def simulate(
+    a: float, b: float, c: float, correction: float, clamp: bool, running: float, periods: range
+) -> list[float]:
+    """Demand of each period in ``periods`` under the recursion fed by its own output.
+
+    Each value is ``a + b*D + c*D*D + correction`` at running cumulative demand
+    D, starting from ``running``, floored at zero when ``clamp`` is set, and
+    then added to D. Plain Python floats in this exact expression order keep
+    the output bit-identical to a per-step numpy evaluation; a rearranged form
+    (Horner) changes the last digits. Raises DivergenceError naming the first
+    period whose value is not finite or whose running total passes
+    DIVERGENCE_GUARD.
+    """
+    out = []
+    append = out.append
+    for t in periods:
+        value = a + b * running + c * running * running + correction
+        if clamp and value < 0.0:
+            value = 0.0
+        append(value)
+        running += value
+        # A non-finite value makes the running total non-finite too, so this
+        # one comparison also catches overflow; NaN fails every comparison.
+        if not abs(running) <= DIVERGENCE_GUARD:
+            raise _divergence(value, t)
+    return out
+
+
+def _divergence(value: float, period: int) -> DivergenceError:
+    if not math.isfinite(value):
+        return DivergenceError(f"prediction overflowed at period {period}", period=period)
+    return DivergenceError(
+        f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} at period {period}",
+        period=period,
+    )
+
+
 def _generate(
     series: TimeSeries,
     coeffs: QuadraticCoefficients,
@@ -103,49 +141,34 @@ def _generate(
     mode: str,
     horizon: int,
     clamp: bool,
+    lagged: np.ndarray | None = None,
 ) -> np.ndarray:
+    """One variant's curve over the observed range plus ``horizon`` periods.
+
+    ``lagged`` is the series' lagged cumulative demand, for one-step mode;
+    it is computed here when the caller has not already done so.
+    """
     n = len(series)
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    out = np.empty(n + horizon)
-
-    def step(D: float, t: int) -> float:
-        value = a + b * D + c * D * D + correction
-        if clamp and value < 0.0:
-            value = 0.0
-        if not np.isfinite(value):
-            raise DivergenceError(f"prediction overflowed at period {t}", period=t)
-        return value
-
-    if mode == "one_step":
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    if mode != "one_step":
+        return np.array(simulate(a, b, c, correction, clamp, 0.0, range(1, n + horizon + 1)))
+    if lagged is None:
         lagged = cumulative(series).values
-        for t in range(n):
-            out[t] = step(float(lagged[t]), t + 1)
-        # Beyond the data the recursion has to feed on its own output.
-        running = float(lagged[-1]) + float(series.demands[-1])
-        for h in range(horizon):
-            t = n + h + 1
-            value = step(running, t)
-            out[n + h] = value
-            running += value
-            if abs(running) > DIVERGENCE_GUARD:
-                raise DivergenceError(
-                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
-                    f"at period {t}",
-                    period=t,
-                )
-    else:
-        running = 0.0
-        for t in range(1, n + horizon + 1):
-            value = step(running, t)
-            out[t - 1] = value
-            running += value
-            if abs(running) > DIVERGENCE_GUARD:
-                raise DivergenceError(
-                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
-                    f"at period {t}",
-                    period=t,
-                )
-    return out
+    # Element-wise float64 operations in the kernel's order give the kernel's bits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = a + b * lagged + c * lagged * lagged + correction
+    if clamp:
+        fitted = np.where(fitted < 0.0, 0.0, fitted)
+    finite = np.isfinite(fitted)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise _divergence(float(fitted[first]), first + 1)
+    if horizon == 0:
+        return fitted
+    # Beyond the data the recursion has to feed on its own output.
+    running = float(lagged[-1]) + float(series.demands[-1])
+    beyond = simulate(a, b, c, correction, clamp, running, range(n + 1, n + horizon + 1))
+    return np.concatenate((fitted, beyond))
 
 
 def _in_sample_sse(series: TimeSeries, predicted: np.ndarray) -> float:
@@ -168,24 +191,28 @@ def forecast(
     computed once from the observed series and frozen for the whole horizon.
     """
     mean = mean_demand(series)
+    lagged = cumulative(series).values if config.mode == "one_step" else None
+
+    def curve(correction: float, horizon: int) -> np.ndarray:
+        return _generate(series, coeffs, correction, config.mode, horizon,
+                         config.clamp_nonnegative, lagged)
 
     variant = config.variant
+    predicted = None
     if variant is ModelVariant.AUTO:
         best = None
         for candidate in _AUTO_CANDIDATES:
-            corr = _correction_for(candidate, tail, mean)
-            sse = _in_sample_sse(
-                series,
-                _generate(series, coeffs, corr, config.mode, 0, config.clamp_nonnegative),
-            )
+            in_sample = curve(_correction_for(candidate, tail, mean), 0)
+            sse = _in_sample_sse(series, in_sample)
             if best is None or sse < best[0]:
-                best = (sse, candidate)
-        variant = best[1]
+                best = (sse, candidate, in_sample)
+        _, variant, in_sample = best
+        if config.horizon == 0:
+            predicted = in_sample
 
     correction = _correction_for(variant, tail, mean)
-    predicted = _generate(
-        series, coeffs, correction, config.mode, config.horizon, config.clamp_nonnegative
-    )
+    if predicted is None:
+        predicted = curve(correction, config.horizon)
     predicted.flags.writeable = False
     return ForecastResult(
         predicted=predicted,

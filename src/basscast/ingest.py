@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, FormatError, ParameterError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, monthly_periods
 
 LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
 
@@ -37,24 +38,18 @@ class IngestOptions:
 
     less_than_one_policy maps censored "<1" Trends cells to 0.5, 0 or 1.
     date_column / value_column select generic-CSV columns by header name or
-    0-based index. Transaction logs are always aggregated monthly; the field
-    exists so the choice is explicit in serialized options.
+    0-based index. Transaction logs are always aggregated monthly.
     """
 
     less_than_one_policy: str = "as_half"
     date_column: str | int = 0
     value_column: str | int = 1
-    aggregation_granularity: str = "monthly"
 
     def __post_init__(self):
         if self.less_than_one_policy not in LESS_THAN_ONE_POLICIES:
             raise ParameterError(
                 f"less_than_one_policy must be one of {sorted(LESS_THAN_ONE_POLICIES)}, "
                 f"got {self.less_than_one_policy!r}"
-            )
-        if self.aggregation_granularity != "monthly":
-            raise ParameterError(
-                f"only monthly aggregation is supported, got {self.aggregation_granularity!r}"
             )
 
     @property
@@ -68,11 +63,27 @@ def _rows(text: str) -> Iterable[tuple[int, list[str]]]:
         yield reader.line_num, row
 
 
+def _blank(row: list[str]) -> bool:
+    """True for a row with no cells or only whitespace in its cells."""
+    return not "".join(row).strip()
+
+
 def _check_ascending(label: str, previous: str | None, row_num: int) -> None:
     if previous is not None and label <= previous:
         raise ValidationError(
             f"row {row_num}: period {label!r} does not ascend past {previous!r}"
         )
+
+
+def _number(cell: str, row_num: int, what: str = "value") -> float:
+    """The finite number in a stripped cell, or FormatError naming the row."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise FormatError(f"unparseable {what} cell {cell!r}", row=row_num) from None
+    if not math.isfinite(value):
+        raise FormatError(f"{what} cell {cell!r} is not finite", row=row_num)
+    return value
 
 
 def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
@@ -85,7 +96,7 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
     for line_num, row in _rows(text):
         last_line = line_num
         if not in_data:
-            if not row or all(cell.strip() == "" for cell in row):
+            if _blank(row):
                 continue
             first = row[0].strip()
             if first == "Month":
@@ -97,7 +108,7 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
                     f"data row {first!r} appeared before the 'Month' header", row=line_num
                 )
             continue  # metadata line, e.g. "Category: ..."
-        if not row or all(cell.strip() == "" for cell in row):
+        if _blank(row):
             continue
         if len(row) < 2:
             raise FormatError(f"expected 'YYYY-MM,value', got {row!r}", row=line_num)
@@ -109,10 +120,9 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
         if cell == "<1":
             value = opts.less_than_one_value
         else:
-            try:
-                value = float(cell)
-            except ValueError:
-                raise FormatError(f"unparseable value cell {cell!r}", row=line_num) from None
+            value = _number(cell, line_num)
+            if not 0.0 <= value <= 100.0:
+                raise FormatError(f"trend value {cell!r} is outside 0-100", row=line_num)
         periods.append(label)
         demands.append(value)
     if not in_data:
@@ -143,7 +153,7 @@ def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeS
     date_idx = value_idx = None
     unit = "unitless"
     for line_num, row in _rows(text):
-        if not row or all(cell.strip() == "" for cell in row):
+        if _blank(row):
             continue
         if date_idx is None:
             date_idx = _resolve_column(opts.date_column, row, line_num)
@@ -155,13 +165,8 @@ def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeS
                               row=line_num)
         label = row[date_idx].strip()
         _check_ascending(label, periods[-1] if periods else None, line_num)
-        cell = row[value_idx].strip()
-        try:
-            value = float(cell)
-        except ValueError:
-            raise FormatError(f"unparseable value cell {cell!r}", row=line_num) from None
         periods.append(label)
-        demands.append(value)
+        demands.append(_number(row[value_idx].strip(), line_num))
     if date_idx is None:
         raise FormatError("no header row found; file has no data rows")
     if not periods:
@@ -169,8 +174,8 @@ def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeS
     return TimeSeries(periods, demands, unit=unit)
 
 
-def _parse_timestamp(cell: str, row_num: int) -> tuple[int, int]:
-    """Year and month of an ISO-8601 date or datetime string."""
+def _parse_timestamp(cell: str, row_num: int) -> str:
+    """The "YYYY-MM" month of an ISO-8601 date or datetime string."""
     text = cell.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -179,13 +184,12 @@ def _parse_timestamp(cell: str, row_num: int) -> tuple[int, int]:
             stamp = parser(text)
         except ValueError:
             continue
-        return stamp.year, stamp.month
+        return f"{stamp.year:04d}-{stamp.month:02d}"
     raise FormatError(f"unparseable timestamp {cell!r}", row=row_num)
 
 
 def aggregate_transactions(
     rows: Sequence[tuple[str, float]],
-    granularity: str = "monthly",
     first_row_number: int = 1,
 ) -> TimeSeries:
     """Sum transaction counts into a monthly demand series.
@@ -194,11 +198,9 @@ def aggregate_transactions(
     emitted with demand 0, so the total demand always equals the total of the
     input counts.
     """
-    if granularity != "monthly":
-        raise ParameterError(f"only monthly aggregation is supported, got {granularity!r}")
     if not rows:
         raise EmptyInputError("no transaction rows")
-    buckets: dict[tuple[int, int], float] = {}
+    buckets: dict[str, float] = {}
     for offset, (stamp, count) in enumerate(rows):
         row_num = first_row_number + offset
         key = _parse_timestamp(str(stamp), row_num)
@@ -206,17 +208,10 @@ def aggregate_transactions(
         if count < 0:
             raise ValidationError(f"row {row_num}: negative count {count}")
         buckets[key] = buckets.get(key, 0.0) + count
-    year, month = min(buckets)
-    last = max(buckets)
-    periods: list[str] = []
-    demands: list[float] = []
-    while (year, month) <= last:
-        periods.append(f"{year:04d}-{month:02d}")
-        demands.append(buckets.get((year, month), 0.0))
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
+    first, last = min(buckets), max(buckets)
+    months = 12 * (int(last[:4]) - int(first[:4])) + int(last[5:]) - int(first[5:]) + 1
+    periods = monthly_periods(months, first)
+    demands = [buckets.get(label, 0.0) for label in periods]
     return TimeSeries(periods, demands, unit="transactions/month")
 
 
@@ -225,7 +220,7 @@ def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> 
     rows: list[tuple[str, float]] = []
     first_data_line = 1
     for line_num, row in _rows(text):
-        if not row or all(cell.strip() == "" for cell in row):
+        if _blank(row):
             continue
         if len(row) < 2:
             raise FormatError(f"expected 'timestamp,count', got {row!r}", row=line_num)
@@ -236,19 +231,12 @@ def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> 
             except ValueError:
                 first_data_line = line_num + 1
                 continue
-        count_cell = row[1].strip()
-        try:
-            count = float(count_cell)
-        except ValueError:
-            raise FormatError(f"unparseable count cell {count_cell!r}", row=line_num) from None
-        rows.append((row[0], count))
+        rows.append((row[0], _number(row[1].strip(), line_num, "count")))
         if len(rows) == 1:
             first_data_line = line_num
     if not rows:
         raise EmptyInputError("no data rows")
-    return aggregate_transactions(
-        rows, granularity=opts.aggregation_granularity, first_row_number=first_data_line
-    )
+    return aggregate_transactions(rows, first_row_number=first_data_line)
 
 
 def to_generic_csv(series: TimeSeries) -> str:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import EmptyInputError, ValidationError
 
+DEFAULT_START_PERIOD = "2004-01"
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -99,3 +101,16 @@ def mean_demand(series: TimeSeries) -> float:
         raise EmptyInputError("cannot average an empty series")
     total = float(np.cumsum(series.demands)[-1])
     return total / len(series)
+
+
+def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:
+    """n consecutive \"YYYY-MM\" labels starting at ``start``."""
+    year, month = (int(part) for part in start.split("-"))
+    labels = []
+    for _ in range(n):
+        labels.append(f"{year:04d}-{month:02d}")
+        month += 1
+        if month > 12:
+            month = 1
+            year += 1
+    return tuple(labels)

@@ -4,12 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
 from .fitting import QuadraticCoefficients
-from .forecast import DIVERGENCE_GUARD
-from .series import TimeSeries
-
-DEFAULT_START_PERIOD = "2004-01"
+from .forecast import simulate
+from .series import DEFAULT_START_PERIOD, TimeSeries, monthly_periods
 
 
 class SplitMix64:
@@ -41,19 +39,6 @@ class SplitMix64:
         return low + (high - low) * self.next_float()
 
 
-def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:
-    """n consecutive \"YYYY-MM\" labels starting at ``start``."""
-    year, month = (int(part) for part in start.split("-"))
-    labels = []
-    for _ in range(n):
-        labels.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return tuple(labels)
-
-
 def generate_bass_series(
     coeffs: QuadraticCoefficients,
     n: int,
@@ -67,19 +52,9 @@ def generate_bass_series(
     """
     if n < 1:
         raise ParameterError(f"series length must be >= 1, got {n}")
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    demands = []
-    running = 0.0
-    for t in range(1, n + 1):
-        value = a + b * running + c * running * running
-        if not math.isfinite(value):
-            raise DivergenceError(f"recursion overflowed at period {t}", period=t)
-        demands.append(value)
-        running += value
-        if abs(running) > DIVERGENCE_GUARD:
-            raise DivergenceError(
-                f"cumulative demand exceeded {DIVERGENCE_GUARD:g} at period {t}", period=t
-            )
+    # Adding -0.0 leaves every value, signed zeros included, exactly as it was.
+    demands = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), -0.0, False, 0.0,
+                       range(1, n + 1))
     return TimeSeries(monthly_periods(n, start_period), demands, unit=unit)
 
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from basscast import DIVERGENCE_GUARD, DivergenceError, cumulative
+
 
 def compensated_sum(values) -> float:
     """High-precision total via math.fsum."""
@@ -102,3 +106,53 @@ def group_by_month(rows) -> dict[str, float]:
 
 def sse_fsum(actual, predicted) -> float:
     return math.fsum((float(a) - float(p)) ** 2 for a, p in zip(actual, predicted))
+
+
+def per_step_generate(series, coeffs, correction, mode, horizon, clamp) -> np.ndarray:
+    """The original per-step forecast recursion, kept verbatim as the reference.
+
+    Every step goes through numpy scalars and np.isfinite, and the loop and
+    the divergence guard are written out once per mode.
+    """
+    n = len(series)
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    out = np.empty(n + horizon)
+
+    def step(D: float, t: int) -> float:
+        value = a + b * D + c * D * D + correction
+        if clamp and value < 0.0:
+            value = 0.0
+        if not np.isfinite(value):
+            raise DivergenceError(f"prediction overflowed at period {t}", period=t)
+        return value
+
+    if mode == "one_step":
+        lagged = cumulative(series).values
+        for t in range(n):
+            out[t] = step(float(lagged[t]), t + 1)
+        # Beyond the data the recursion has to feed on its own output.
+        running = float(lagged[-1]) + float(series.demands[-1])
+        for h in range(horizon):
+            t = n + h + 1
+            value = step(running, t)
+            out[n + h] = value
+            running += value
+            if abs(running) > DIVERGENCE_GUARD:
+                raise DivergenceError(
+                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
+                    f"at period {t}",
+                    period=t,
+                )
+    else:
+        running = 0.0
+        for t in range(1, n + horizon + 1):
+            value = step(running, t)
+            out[t - 1] = value
+            running += value
+            if abs(running) > DIVERGENCE_GUARD:
+                raise DivergenceError(
+                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
+                    f"at period {t}",
+                    period=t,
+                )
+    return out

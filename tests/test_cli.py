@@ -4,12 +4,26 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from basscast import (
+    BasscastError,
+    DegeneratePlotError,
+    DivergenceError,
+    EmptyInputError,
+    FormatError,
+    InsufficientDataError,
     MonoPeakSpec,
+    NonDiffusionShapeError,
+    NoRealMarketSizeError,
+    ParameterError,
+    ShapeError,
+    SingularFitError,
+    UndefinedBaselineError,
+    ValidationError,
+    errors,
     generate_bass_series,
     generate_mono_peak,
     to_generic_csv,
 )
-from basscast.cli import main
+from basscast.cli import _exit_code_for, main
 from conftest import EXACT_COEFFS
 
 
@@ -72,6 +86,14 @@ class TestFitCommand:
 
     def test_missing_input_exits_4(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)]) == 4
+
+    def test_utf8_bom_header_is_stripped(self, tmp_path):
+        csv_path = write_noiseless(tmp_path / "series.csv")
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        code = main(["fit", str(csv_path), "--date-column", "period",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["n_obs"] == 30
 
 
 class TestEvaluateCommand:
@@ -278,6 +300,20 @@ class TestBatchCommand:
         assert "good.csv: ok" in out
         assert "bad.csv: failed" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--mode", "one_step"], ["--clamp-nonnegative"],
+                                       ["--variant", "modified_subtract"]])
+    def test_payloads_match_separate_evaluate_and_plot(self, tmp_path, flags):
+        inputs = [write_mono_peak(tmp_path / f"s{i}.csv", seed=i) for i in range(2)]
+        assert main(["batch", *map(str, inputs), *flags,
+                     "--output-dir", str(tmp_path / "batch")]) == 0
+        for path in inputs:
+            single = tmp_path / "single" / path.stem
+            assert main(["evaluate", str(path), *flags, "--output-dir", str(single)]) == 0
+            assert main(["plot", str(path), *flags, "--output-dir", str(single)]) == 0
+            for name in ("report.json", "predictions.csv", "compare.svg"):
+                assert (tmp_path / "batch" / path.stem / name).read_bytes() == (
+                    single / name).read_bytes()
+
     def test_duplicate_stems_get_distinct_directories(self, tmp_path):
         d1 = tmp_path / "one"
         d2 = tmp_path / "two"
@@ -289,6 +325,37 @@ class TestBatchCommand:
         assert code == 0
         assert (tmp_path / "out" / "series" / "report.json").exists()
         assert (tmp_path / "out" / "series_2" / "report.json").exists()
+
+
+# The exit status each error maps to, pinned apart from the classes' own exit_code.
+EXIT_CODES = {
+    BasscastError: 2,
+    FormatError: 2,
+    ValidationError: 2,
+    EmptyInputError: 2,
+    ParameterError: 2,
+    ShapeError: 2,
+    DegeneratePlotError: 2,
+    InsufficientDataError: 3,
+    SingularFitError: 3,
+    DivergenceError: 3,
+    UndefinedBaselineError: 3,
+    NonDiffusionShapeError: 3,
+    NoRealMarketSizeError: 3,
+    OSError: 4,
+    FileNotFoundError: 4,
+}
+
+
+@pytest.mark.parametrize("cls", EXIT_CODES, ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(cls):
+    assert _exit_code_for(cls("boom")) == EXIT_CODES[cls]
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    classes = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, BasscastError)}
+    assert classes <= set(EXIT_CODES)
 
 
 def test_help_smoke():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
@@ -8,6 +9,7 @@ from basscast import (
     MonoPeakSpec,
     ParameterError,
     QuadraticCoefficients,
+    SingularFitError,
     TimeSeries,
     cumulative,
     fit_quadratic,
@@ -20,6 +22,8 @@ from basscast import (
     profile,
     sse,
 )
+from basscast.forecast import _generate
+from oracles import per_step_generate
 
 COEFFS = QuadraticCoefficients(a=10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=20)
 
@@ -225,3 +229,76 @@ class TestAutoSelection:
         result = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.AUTO))
         if result.correction_term == 0.0:
             assert result.variant_used is not ModelVariant.MODIFIED_ADD
+
+
+@st.composite
+def mono_peak_specs(draw):
+    n = draw(st.integers(min_value=5, max_value=400))
+    peak_height = draw(st.floats(min_value=1.0, max_value=1000.0))
+    return MonoPeakSpec(
+        n=n,
+        peak_time=draw(st.integers(min_value=1, max_value=n - 1)),
+        peak_height=peak_height,
+        decay_rate=draw(st.floats(min_value=0.01, max_value=2.0)),
+        plateau_level=draw(st.floats(min_value=0.0, max_value=0.9)) * peak_height,
+        rise_shape=draw(st.floats(min_value=0.2, max_value=3.0)),
+        noise_amplitude=draw(st.none() | st.floats(min_value=0.0, max_value=50.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+
+
+def outcome(generate, *args):
+    """The curve's bytes, or the period and message of the DivergenceError it raised."""
+    try:
+        return generate(*args).tobytes()
+    except DivergenceError as exc:
+        return exc.period, str(exc)
+
+
+class TestKernelMatchesPerStepReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        horizon=st.integers(min_value=0, max_value=60),
+    )
+    def test_fitted_curves_bit_identical(self, spec, mode, clamp, horizon):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        tail = profile(series)
+        mean = mean_demand(series)
+        for correction in (0.0, tail.r1 * mean, -(tail.r2 * mean)):
+            args = (series, coeffs, correction, mode, horizon, clamp)
+            assert outcome(_generate, *args) == outcome(per_step_generate, *args)
+
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("horizon", [0, 40])
+    @pytest.mark.parametrize("a,b,c,correction", [
+        (10.0, 2.0, 0.5, 0.0),             # running total passes the guard
+        (1e308, 0.0, 0.0, 1e308),          # the first value overflows
+        (-1e308, 0.0, 0.0, -1e308),        # overflows to -inf, which a clamp floors
+        (5.0, 0.0, 1e306, 0.0),            # c*D*D overflows on the observed data
+        (float("nan"), 0.0, 0.0, 0.0),     # NaN from the first period on
+        (-0.0, -1.0, -1.0, 0.0),           # signed zeros
+    ])
+    def test_pathological_coefficients(self, mode, clamp, horizon, a, b, c, correction):
+        series = make([10, 80, 400, 2000])
+        coeffs = QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0, n_obs=4)
+        args = (series, coeffs, correction, mode, horizon, clamp)
+        assert outcome(_generate, *args) == outcome(per_step_generate, *args)
+
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    def test_auto_returns_the_winning_candidate_curve(self, mode):
+        series = generate_mono_peak(MonoPeakSpec(seed=3))
+        coeffs = fit_quadratic(series)
+        tail = profile(series)
+        auto = forecast(series, coeffs, tail, ForecastConfig(mode=mode))
+        direct = forecast(series, coeffs, tail,
+                          ForecastConfig(mode=mode, variant=auto.variant_used))
+        assert auto.predicted.tobytes() == direct.predicted.tobytes()
+        assert not auto.predicted.flags.writeable

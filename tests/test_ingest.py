@@ -39,11 +39,6 @@ class TestIngestOptions:
         with pytest.raises(ParameterError):
             IngestOptions(less_than_one_policy="as_two")
 
-    def test_granularity_is_fixed_monthly(self):
-        assert IngestOptions().aggregation_granularity == "monthly"
-        with pytest.raises(ParameterError):
-            IngestOptions(aggregation_granularity="weekly")
-
 
 class TestParseGoogleTrends:
     def test_basic_export(self):
@@ -92,6 +87,17 @@ class TestParseGoogleTrends:
             parse_google_trends_csv(text)
         assert err.value.row == 5  # metadata + blank + header are rows 1-3
 
+    @pytest.mark.parametrize("cell", ["-7", "250", "100.5", "nan", "inf", "-inf"])
+    def test_out_of_range_or_nonfinite_value_names_row(self, cell):
+        text = TRENDS_HEADER + f"2010-01,3\n2010-02,{cell}\n"
+        with pytest.raises(FormatError) as err:
+            parse_google_trends_csv(text)
+        assert err.value.row == 5
+
+    def test_range_bounds_accepted(self):
+        series = parse_google_trends_csv(TRENDS_HEADER + "2010-01,0\n2010-02,100\n")
+        assert np.array_equal(series.demands, [0.0, 100.0])
+
     def test_crlf_accepted(self):
         text = TRENDS_HEADER.replace("\n", "\r\n") + "2010-01,3\r\n2010-02,4\r\n"
         series = parse_google_trends_csv(text)
@@ -120,6 +126,12 @@ class TestParseGenericCsv:
         with pytest.raises(FormatError) as err:
             parse_generic_csv("month,sales\n2020-01,abc\n")
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_nonfinite_value_names_row(self, cell):
+        with pytest.raises(FormatError) as err:
+            parse_generic_csv(f"month,sales\n2020-01,1\n2020-02,{cell}\n")
+        assert err.value.row == 3
 
     def test_by_index_equals_by_name(self):
         text = "month,sales\n2020-01,10\n2020-02,20\n"
@@ -216,10 +228,6 @@ class TestAggregateTransactions:
         with pytest.raises(ValidationError):
             aggregate_transactions([("2016-01-03", -1)])
 
-    def test_only_monthly_granularity(self):
-        with pytest.raises(ParameterError):
-            aggregate_transactions([("2016-01-03", 1)], granularity="weekly")
-
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             aggregate_transactions([])
@@ -252,6 +260,12 @@ class TestParseTransactionsCsv:
     def test_short_row_rejected(self):
         with pytest.raises(FormatError):
             parse_transactions_csv("timestamp,count\n2016-01-03\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_count_names_row(self, cell):
+        with pytest.raises(FormatError) as err:
+            parse_transactions_csv(f"timestamp,count\n2016-01-03,2\n2016-01-04,{cell}\n")
+        assert err.value.row == 3
 
 
 class TestGenericCsvRoundTrip:

@@ -86,6 +86,12 @@ class TestGenerateBassSeries:
             generate_bass_series(coeffs, 100)
         assert err.value.period is not None
 
+    def test_negative_zero_demand_kept(self):
+        # d = -0.0 + (-1)*0.0 + (-1)*0.0*0.0 is -0.0 at every step of this recursion
+        coeffs = QuadraticCoefficients(a=-0.0, b=-1.0, c=-1.0, residual_sse=0.0, n_obs=0)
+        demands = generate_bass_series(coeffs, 3).demands
+        assert np.array_equal(demands, [0.0] * 3) and np.signbit(demands).all()
+
     def test_length_validated(self, exact_coeffs):
         with pytest.raises(ParameterError):
             generate_bass_series(exact_coeffs, 0)
