@@ -17,12 +17,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from basscast import (
-    ForecastConfig,
-    ModelVariant,
     MonoPeakSpec,
     compare_models,
     fit_quadratic,
-    forecast,
     generate_mono_peak,
     profile,
     render_comparison_svg,
@@ -54,10 +51,8 @@ def main() -> int:
         if args.svg_dir:
             out = Path(args.svg_dir)
             out.mkdir(parents=True, exist_ok=True)
-            classical = forecast(series, coeffs, tail,
-                                 ForecastConfig(mode=args.mode, variant=ModelVariant.CLASSICAL))
-            modified = forecast(series, coeffs, tail, ForecastConfig(mode=args.mode))
-            svg = render_comparison_svg(series, classical.predicted, modified.predicted, report)
+            svg = render_comparison_svg(series, report.classical_predicted,
+                                        report.modified_predicted, report)
             (out / f"seed_{seed:03d}.svg").write_text(svg, encoding="utf-8")
 
     print(f"\nstrict wins: {wins}/{args.seeds}")

@@ -42,7 +42,7 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import CumulativeSeries, TimeSeries, cumulative, mean_demand
+from .series import TimeSeries, cumulative, mean_demand
 from .svgplot import render_comparison_svg
 from .synthetic import (
     MonoPeakSpec,
@@ -57,7 +57,6 @@ from .tail import TailProfile, compute_ratios, detect_peak, detect_tail_start, p
 __all__ = [
     "BassParameters",
     "BasscastError",
-    "CumulativeSeries",
     "DIVERGENCE_GUARD",
     "DegeneratePlotError",
     "DivergenceError",

@@ -6,7 +6,7 @@ Subcommands
     evaluate   compare classical vs modified and write report.json + predictions.csv
     plot       write a compare.svg chart of actual vs both predictions
     synth      generate a seeded mono-peak fixture CSV (+ sidecar spec JSON)
-    batch      run the evaluate+plot pipeline over many inputs, optionally in parallel
+    batch      run the evaluate+plot pipeline over many inputs
 
 Exit codes: 0 success, 2 input/format problem, 3 numeric/fit problem, 4 I/O problem.
 All payload files are deterministic: identical inputs and flags give identical bytes.
@@ -17,9 +17,7 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import TimeSeries, monthly_periods
+from .series import _MONTH_RE, TimeSeries, monthly_periods
 from .svgplot import render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
 from .tail import profile
@@ -49,7 +47,6 @@ EXIT_OK = 0
 EXIT_IO = 4
 
 _FORMATS = ("generic", "trends", "transactions")
-_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
 
 
 @dataclass
@@ -68,7 +65,6 @@ class RunManifest:
     value_column: str | int = 1
     clamp_nonnegative: bool = False
     output_dir: str = "."
-    jobs: int = 1
 
     @property
     def ingest_options(self) -> IngestOptions:
@@ -279,18 +275,29 @@ def _batch_one(manifest: RunManifest, path: str, out_dir: Path) -> tuple[str, in
     return path, EXIT_OK, "ok"
 
 
+def _output_names(inputs: list[str]) -> list[str]:
+    """One distinct directory name per input: its stem, or stem_k for the k-th repeat.
+
+    The k is raised past any name already taken, so a.csv, a.csv, a_2.csv
+    give a, a_2 and a_2_2 rather than two inputs sharing a_2.
+    """
+    taken: set[str] = set()
+    names = []
+    for path in inputs:
+        stem = Path(path).stem or "input"
+        name, k = stem, 1
+        while name in taken:
+            k += 1
+            name = f"{stem}_{k}"
+        taken.add(name)
+        names.append(name)
+    return names
+
+
 def cmd_batch(manifest: RunManifest) -> int:
     out = Path(manifest.output_dir)
-    seen: dict[str, int] = {}
-    jobs = []
-    for path in manifest.inputs:
-        stem = Path(path).stem or "input"
-        seen[stem] = seen.get(stem, 0) + 1
-        if seen[stem] > 1:
-            stem = f"{stem}_{seen[stem]}"
-        jobs.append((path, out / stem))
-    with ThreadPoolExecutor(max_workers=max(1, manifest.jobs)) as pool:
-        results = list(pool.map(lambda job: _batch_one(manifest, *job), jobs))
+    results = [_batch_one(manifest, path, out / name)
+               for path, name in zip(manifest.inputs, _output_names(manifest.inputs))]
     exit_code = EXIT_OK
     for path, code, message in results:
         status = "ok" if code == EXIT_OK else f"failed: {message}"
@@ -349,7 +356,6 @@ def _manifest_from(args: argparse.Namespace, inputs: list[str]) -> RunManifest:
         value_column=_column_selector(args.value_column),
         clamp_nonnegative=args.clamp_nonnegative,
         output_dir=args.output_dir,
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -398,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="evaluate + plot many inputs, one subdirectory each")
     p.add_argument("inputs", nargs="+", help="input CSV files")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="number of files processed concurrently (default: 1)")
     _add_common_flags(p)
 
     return parser

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -118,20 +118,17 @@ def compare_models(
     negative; forcing a specific modified variant can make it negative when
     the correction hurts.
     """
-    classical = forecast(
-        series,
-        coeffs,
-        tail,
-        ForecastConfig(mode=mode, variant=ModelVariant.CLASSICAL,
-                       clamp_nonnegative=clamp_nonnegative),
-    )
-    modified = forecast(
-        series,
-        coeffs,
-        tail,
-        ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative),
-    )
-    sse_classical = sse(series, classical.predicted)
+    config = ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative)
+    classical = None
+    if config.variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
+        # Classical runs first, as in auto, so its divergence is the one raised.
+        classical = forecast(
+            series, coeffs, tail, replace(config, variant=ModelVariant.CLASSICAL)
+        ).predicted
+    modified = forecast(series, coeffs, tail, config)
+    if classical is None:
+        classical = modified.candidates[ModelVariant.CLASSICAL]
+    sse_classical = sse(series, classical)
     sse_modified = sse(series, modified.predicted)
     improvement = (
         0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
@@ -148,6 +145,6 @@ def compare_models(
         mae=mae(series, modified.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
-        classical_predicted=classical.predicted,
+        classical_predicted=classical,
         modified_predicted=modified.predicted,
     )

@@ -72,7 +72,7 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
             f"quadratic fit needs at least {MIN_OBSERVATIONS} observations, got {n}"
         )
     d = series.demands
-    D = cumulative(series).values
+    D = cumulative(series)
 
     # Centre and scale the cumulative column before solving; D**2 on long
     # series would otherwise dominate the conditioning.

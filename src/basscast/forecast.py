@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -62,12 +64,16 @@ class ForecastConfig:
 
 @dataclass(frozen=True, eq=False)
 class ForecastResult:
-    """Predicted demand sequence plus the provenance needed to reproduce it."""
+    """Predicted demand sequence, the variant that produced it, and the curves it chose from.
+
+    ``candidates`` maps each variant this call generated to its read-only
+    in-sample curve: all three for ``auto``, else only the requested one.
+    """
 
     predicted: np.ndarray = field(repr=False)
     variant_used: ModelVariant
     correction_term: float
-    config: ForecastConfig
+    candidates: Mapping[ModelVariant, np.ndarray] = field(repr=False)
 
 
 def predict_classical(coeffs: QuadraticCoefficients, cumulative_value: float) -> float:
@@ -153,7 +159,7 @@ def _generate(
     if mode != "one_step":
         return np.array(simulate(a, b, c, correction, clamp, 0.0, range(1, n + horizon + 1)))
     if lagged is None:
-        lagged = cumulative(series).values
+        lagged = cumulative(series)
     # Element-wise float64 operations in the kernel's order give the kernel's bits.
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = a + b * lagged + c * lagged * lagged + correction
@@ -172,7 +178,7 @@ def _generate(
 
 
 def _in_sample_sse(series: TimeSeries, predicted: np.ndarray) -> float:
-    resid = series.demands - predicted[: len(series)]
+    resid = series.demands - predicted
     return float(resid @ resid)
 
 
@@ -191,32 +197,30 @@ def forecast(
     computed once from the observed series and frozen for the whole horizon.
     """
     mean = mean_demand(series)
-    lagged = cumulative(series).values if config.mode == "one_step" else None
+    lagged = cumulative(series) if config.mode == "one_step" else None
 
-    def curve(correction: float, horizon: int) -> np.ndarray:
-        return _generate(series, coeffs, correction, config.mode, horizon,
-                         config.clamp_nonnegative, lagged)
+    def curve(variant: ModelVariant, horizon: int) -> np.ndarray:
+        predicted = _generate(series, coeffs, _correction_for(variant, tail, mean),
+                              config.mode, horizon, config.clamp_nonnegative, lagged)
+        predicted.flags.writeable = False
+        return predicted
 
-    variant = config.variant
-    predicted = None
-    if variant is ModelVariant.AUTO:
-        best = None
-        for candidate in _AUTO_CANDIDATES:
-            in_sample = curve(_correction_for(candidate, tail, mean), 0)
-            sse = _in_sample_sse(series, in_sample)
-            if best is None or sse < best[0]:
-                best = (sse, candidate, in_sample)
-        _, variant, in_sample = best
-        if config.horizon == 0:
-            predicted = in_sample
-
-    correction = _correction_for(variant, tail, mean)
-    if predicted is None:
-        predicted = curve(correction, config.horizon)
-    predicted.flags.writeable = False
+    n = len(series)
+    if config.variant is ModelVariant.AUTO:
+        curves = {variant: curve(variant, 0) for variant in _AUTO_CANDIDATES}
+    else:
+        # The one requested curve runs straight through the horizon.
+        curves = {config.variant: curve(config.variant, config.horizon)}
+    candidates = {v: c[:n] if len(c) > n else c for v, c in curves.items()}
+    # min keeps the first of equal SSEs, so candidate order is the tie-break order.
+    variant = min(candidates, key=lambda v: _in_sample_sse(series, candidates[v]))
+    predicted = curves[variant]
+    if len(predicted) < n + config.horizon:
+        # auto compared in-sample curves only; the winner is rerun through the horizon.
+        predicted = curve(variant, config.horizon)
     return ForecastResult(
         predicted=predicted,
         variant_used=variant,
-        correction_term=correction,
-        config=config,
+        correction_term=_correction_for(variant, tail, mean),
+        candidates=MappingProxyType(candidates),
     )

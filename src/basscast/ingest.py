@@ -19,17 +19,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, FormatError, ParameterError, ValidationError
-from .series import TimeSeries, monthly_periods
+from .series import _MONTH_RE, TimeSeries, monthly_periods
 
 LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
-
-_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
 
 
 @dataclass(frozen=True)

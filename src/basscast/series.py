@@ -1,7 +1,8 @@
 """Core time-series types and the cumulative/average primitives built on them."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,23 +65,8 @@ class TimeSeries:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CumulativeSeries:
-    """Lagged cumulative demand: values[t] = sum of the first t demands, values[0] = 0."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CumulativeSeries):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def cumulative(series: TimeSeries) -> CumulativeSeries:
-    """Lagged cumulative demand of a series.
+def cumulative(series: TimeSeries) -> np.ndarray:
+    """Lagged cumulative demand of a series, as a read-only array.
 
     Element t holds the total demand of periods 0..t-1, so the first element
     is exactly 0 and the last element plus the final demand equals the total.
@@ -92,7 +78,7 @@ def cumulative(series: TimeSeries) -> CumulativeSeries:
     running = np.cumsum(series.demands)
     values = np.concatenate(([0.0], running[:-1]))
     values.flags.writeable = False
-    return CumulativeSeries(values)
+    return values
 
 
 def mean_demand(series: TimeSeries) -> float:
@@ -101,6 +87,10 @@ def mean_demand(series: TimeSeries) -> float:
         raise EmptyInputError("cannot average an empty series")
     total = float(np.cumsum(series.demands)[-1])
     return total / len(series)
+
+
+# A calendar-month period label, "YYYY-MM".
+_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
 
 
 def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:

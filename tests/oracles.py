@@ -11,7 +11,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from basscast import DIVERGENCE_GUARD, DivergenceError, cumulative
+from basscast import (
+    DIVERGENCE_GUARD,
+    DivergenceError,
+    EvaluationReport,
+    ForecastConfig,
+    ModelVariant,
+    cumulative,
+    forecast,
+    improvement_percent,
+    mae,
+    mape,
+    rmse,
+    sse,
+)
 
 
 def compensated_sum(values) -> float:
@@ -127,7 +140,7 @@ def per_step_generate(series, coeffs, correction, mode, horizon, clamp) -> np.nd
         return value
 
     if mode == "one_step":
-        lagged = cumulative(series).values
+        lagged = cumulative(series)
         for t in range(n):
             out[t] = step(float(lagged[t]), t + 1)
         # Beyond the data the recursion has to feed on its own output.
@@ -156,3 +169,51 @@ def per_step_generate(series, coeffs, correction, mode, horizon, clamp) -> np.nd
                     period=t,
                 )
     return out
+
+
+def two_call_compare_models(
+    series,
+    coeffs,
+    tail,
+    mode: str = "simulated",
+    variant: ModelVariant = ModelVariant.AUTO,
+    clamp_nonnegative: bool = False,
+) -> EvaluationReport:
+    """compare_models as it was when it ran forecast twice, kept verbatim as the reference.
+
+    It generates the classical curve on its own and then the requested
+    variant, so under auto the classical curve is computed a second time.
+    """
+    classical = forecast(
+        series,
+        coeffs,
+        tail,
+        ForecastConfig(mode=mode, variant=ModelVariant.CLASSICAL,
+                       clamp_nonnegative=clamp_nonnegative),
+    )
+    modified = forecast(
+        series,
+        coeffs,
+        tail,
+        ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative),
+    )
+    sse_classical = sse(series, classical.predicted)
+    sse_modified = sse(series, modified.predicted)
+    improvement = (
+        0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
+    )
+    mape_value, mape_skipped = mape(series, modified.predicted)
+    return EvaluationReport(
+        sse_classical=sse_classical,
+        sse_modified=sse_modified,
+        variant_used=modified.variant_used,
+        improvement_percent=improvement,
+        mode=mode,
+        tail_profile=tail,
+        rmse=rmse(series, modified.predicted),
+        mae=mae(series, modified.predicted),
+        mape=mape_value,
+        mape_skipped=mape_skipped,
+        classical_predicted=classical.predicted,
+        modified_predicted=modified.predicted,
+    )

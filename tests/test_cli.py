@@ -281,9 +281,9 @@ class TestTrendsAndTransactionsFormats:
 
 
 class TestBatchCommand:
-    def test_parallel_batch(self, tmp_path, capsys):
+    def test_batch_writes_one_directory_per_input(self, tmp_path, capsys):
         inputs = [str(write_mono_peak(tmp_path / f"s{i}.csv", seed=i)) for i in range(3)]
-        code = main(["batch", *inputs, "--jobs", "3", "--output-dir", str(tmp_path / "out")])
+        code = main(["batch", *inputs, "--output-dir", str(tmp_path / "out")])
         assert code == 0
         for i in range(3):
             report = json.loads((tmp_path / "out" / f"s{i}" / "report.json").read_text())
@@ -325,6 +325,27 @@ class TestBatchCommand:
         assert code == 0
         assert (tmp_path / "out" / "series" / "report.json").exists()
         assert (tmp_path / "out" / "series_2" / "report.json").exists()
+
+    def test_suffixed_stem_does_not_collide_with_a_repeat(self, tmp_path, capsys):
+        inputs = []
+        for directory, name, seed in (("a", "series", 1), ("b", "series", 2),
+                                      ("c", "series_2", 3)):
+            (tmp_path / directory).mkdir()
+            inputs.append(write_mono_peak(tmp_path / directory / f"{name}.csv", seed=seed))
+        out = tmp_path / "out"
+        assert main(["batch", *map(str, inputs), "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["series", "series_2", "series_2_2"]
+        for path, name in zip(inputs, ("series", "series_2", "series_2_2")):
+            single = tmp_path / "single" / name
+            assert main(["evaluate", str(path), "--output-dir", str(single)]) == 0
+            assert (out / name / "report.json").read_bytes() == (
+                single / "report.json").read_bytes()
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        path = str(write_mono_peak(tmp_path / "s.csv"))
+        with pytest.raises(SystemExit) as err:
+            main(["batch", path, "--jobs", "2", "--output-dir", str(tmp_path / "out")])
+        assert err.value.code == 2
 
 
 # The exit status each error maps to, pinned apart from the classes' own exit_code.

@@ -1,16 +1,22 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from basscast import (
+    DivergenceError,
+    ForecastConfig,
     ModelVariant,
     MonoPeakSpec,
+    QuadraticCoefficients,
     ShapeError,
+    SingularFitError,
     SplitMix64,
     TimeSeries,
     UndefinedBaselineError,
     compare_models,
     fit_quadratic,
+    forecast,
     generate_mono_peak,
     improvement_percent,
     mape,
@@ -18,7 +24,8 @@ from basscast import (
     profile,
     sse,
 )
-from oracles import sse_fsum
+from conftest import mono_peak_specs
+from oracles import sse_fsum, two_call_compare_models
 
 
 def make(demands):
@@ -166,3 +173,52 @@ class TestCompareModels:
         assert report.rmse == pytest.approx((report.sse_modified / n) ** 0.5)
         assert report.mae >= 0.0
         assert report.mape is None or report.mape >= 0.0
+
+
+def comparison(compare, *args):
+    """Every report field and both curves' bytes, or the DivergenceError's period and message."""
+    try:
+        report = compare(*args)
+    except DivergenceError as exc:
+        return exc.period, str(exc)
+    return (report.to_dict(), report.variant_used,
+            report.classical_predicted.tobytes(), report.modified_predicted.tobytes())
+
+
+class TestOneForecastPassMatchesTwoCallReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(list(ModelVariant)),
+    )
+    def test_reports_identical(self, spec, mode, clamp, variant):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        tail = profile(series)
+        args = (series, coeffs, tail, mode, variant, clamp)
+        assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
+        try:
+            result = forecast(series, coeffs, tail, ForecastConfig(
+                mode=mode, variant=variant, clamp_nonnegative=clamp))
+        except DivergenceError:
+            return
+        assert result.candidates[result.variant_used] is result.predicted
+
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    @pytest.mark.parametrize("a,b,c", [
+        (10.0, 2.0, 0.5),    # simulated: classical diverges at 6, modified_add at 5
+        (1.0, 1.0, 1e-9),    # simulated: every variant diverges, each at its own period
+        (0.0, 1.0, 0.0),     # simulated: classical survives, both modified variants diverge
+        (5.0, 0.0, 1e306),   # one_step: c*D*D overflows on the observed data
+    ])
+    def test_diverging_coefficients(self, mono_peak_series, mode, variant, a, b, c):
+        coeffs = QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0,
+                                       n_obs=len(mono_peak_series))
+        args = (mono_peak_series, coeffs, profile(mono_peak_series), mode, variant, False)
+        assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)

@@ -78,7 +78,7 @@ class TestFitQuadratic:
         rng = SplitMix64(777)
         series = random_diffusion_series(rng)
         fit = fit_quadratic(series)
-        D = cumulative(series).values
+        D = cumulative(series)
         resid = series.demands - (fit.a + fit.b * D + fit.c * D * D)
         rnorm = float(np.linalg.norm(resid))
         for col in (np.ones(len(series)), D, D * D):

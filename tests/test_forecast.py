@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +25,11 @@ from basscast import (
     sse,
 )
 from basscast.forecast import _generate
+from conftest import mono_peak_specs
 from oracles import per_step_generate
+
+# The package rebinds the name "forecast" to the function, so fetch the module by path.
+forecast_module = importlib.import_module("basscast.forecast")
 
 COEFFS = QuadraticCoefficients(a=10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=20)
 
@@ -40,7 +46,7 @@ class TestPointPredictions:
         assert predict_classical(COEFFS, 100.0) == pytest.approx(50.0)
 
     def test_reproduces_noiseless_fixture(self, noiseless_series, exact_coeffs):
-        lagged = cumulative(noiseless_series).values
+        lagged = cumulative(noiseless_series)
         for d, demand in zip(lagged, noiseless_series.demands):
             assert predict_classical(exact_coeffs, float(d)) == pytest.approx(demand, abs=1e-9)
 
@@ -221,6 +227,34 @@ class TestAutoSelection:
         assert auto.variant_used in (ModelVariant.MODIFIED_ADD, ModelVariant.MODIFIED_SUBTRACT)
         assert sse(series, auto.predicted) < sse(series, classical.predicted)
 
+    @pytest.mark.parametrize("variant,horizon,curves", [
+        (ModelVariant.AUTO, 0, 3),
+        (ModelVariant.AUTO, 12, 4),                 # the winner is rerun through the horizon
+        (ModelVariant.MODIFIED_SUBTRACT, 0, 1),
+        (ModelVariant.MODIFIED_SUBTRACT, 12, 1),
+    ])
+    def test_candidates_are_the_curves_generated(self, monkeypatch, mono_peak_series,
+                                                 variant, horizon, curves):
+        calls = []
+        monkeypatch.setattr(forecast_module, "_generate",
+                            lambda *args: calls.append(args) or _generate(*args))
+        coeffs = fit_quadratic(mono_peak_series)
+        tail = profile(mono_peak_series)
+        result = forecast(mono_peak_series, coeffs, tail,
+                          ForecastConfig(variant=variant, horizon=horizon))
+        assert len(calls) == curves
+        expected = ((ModelVariant.CLASSICAL, ModelVariant.MODIFIED_ADD,
+                     ModelVariant.MODIFIED_SUBTRACT) if variant is ModelVariant.AUTO
+                    else (variant,))
+        assert tuple(result.candidates) == expected
+        n = len(mono_peak_series)
+        for curve in result.candidates.values():
+            assert len(curve) == n and not curve.flags.writeable
+        winner = result.candidates[result.variant_used]
+        assert winner.tobytes() == result.predicted[:n].tobytes()
+        with pytest.raises(TypeError):
+            result.candidates[ModelVariant.AUTO] = winner
+
     def test_tie_breaks_to_classical(self, noiseless_series, exact_coeffs):
         # tail_per = 0.5 zeroes r1, so the additive variant ties classical exactly
         series = make([1, 2, 10, 6, 6, 4, 4, 4, 4, 4])
@@ -229,22 +263,6 @@ class TestAutoSelection:
         result = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.AUTO))
         if result.correction_term == 0.0:
             assert result.variant_used is not ModelVariant.MODIFIED_ADD
-
-
-@st.composite
-def mono_peak_specs(draw):
-    n = draw(st.integers(min_value=5, max_value=400))
-    peak_height = draw(st.floats(min_value=1.0, max_value=1000.0))
-    return MonoPeakSpec(
-        n=n,
-        peak_time=draw(st.integers(min_value=1, max_value=n - 1)),
-        peak_height=peak_height,
-        decay_rate=draw(st.floats(min_value=0.01, max_value=2.0)),
-        plateau_level=draw(st.floats(min_value=0.0, max_value=0.9)) * peak_height,
-        rise_shape=draw(st.floats(min_value=0.2, max_value=3.0)),
-        noise_amplitude=draw(st.none() | st.floats(min_value=0.0, max_value=50.0)),
-        seed=draw(st.integers(min_value=0, max_value=2**32)),
-    )
 
 
 def outcome(generate, *args):

@@ -71,22 +71,22 @@ class TestTimeSeries:
 
 class TestCumulative:
     def test_three_points(self):
-        assert np.array_equal(cumulative(make([1, 2, 3])).values, [0.0, 1.0, 3.0])
+        assert np.array_equal(cumulative(make([1, 2, 3])), [0.0, 1.0, 3.0])
 
     def test_single_point(self):
-        assert np.array_equal(cumulative(make([5])).values, [0.0])
+        assert np.array_equal(cumulative(make([5])), [0.0])
 
     def test_matches_independent_accumulation_on_random_values(self):
         rng = SplitMix64(228)
         demands = [100.0 * rng.next_float() for _ in range(228)]
-        got = cumulative(make(demands)).values
+        got = cumulative(make(demands))
         assert got[-1] == pytest.approx(compensated_sum(demands[:227]), rel=1e-12)
         assert np.array_equal(got, lagged_cumulative(demands))
 
     @given(demand_lists)
     def test_step_identity_is_exact(self, demands):
         s = make(demands)
-        values = cumulative(s).values
+        values = cumulative(s)
         assert values[0] == 0.0
         for t in range(len(s) - 1):
             assert values[t] + s.demands[t] == values[t + 1]
@@ -94,7 +94,7 @@ class TestCumulative:
     @given(demand_lists)
     def test_monotone_and_total(self, demands):
         s = make(demands)
-        values = cumulative(s).values
+        values = cumulative(s)
         assert np.all(np.diff(values) >= 0)
         assert values[-1] + s.demands[-1] == pytest.approx(
             compensated_sum(demands), rel=1e-12, abs=1e-9
@@ -102,8 +102,8 @@ class TestCumulative:
 
     def test_deterministic(self):
         demands = [3.0, 1.0, 4.0, 1.0, 5.0]
-        first = cumulative(make(demands)).values
-        second = cumulative(make(demands)).values
+        first = cumulative(make(demands))
+        second = cumulative(make(demands))
         assert np.array_equal(first, second)
 
 
