@@ -8,6 +8,10 @@ Subcommands
     synth      generate a seeded mono-peak fixture CSV (+ sidecar spec JSON)
     batch      run the evaluate+plot pipeline over many inputs
 
+Each subcommand takes only the flags it reads: fit takes the input flags,
+forecast, evaluate, plot and batch add the model flags, forecast adds
+--horizon, and only evaluate accepts --mode both.
+
 Exit codes: 0 success, 2 input/format problem, 3 numeric/fit problem, 4 I/O problem.
 All payload files are deterministic: identical inputs and flags give identical bytes.
 """
@@ -18,8 +22,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .errors import (
@@ -49,38 +53,16 @@ EXIT_IO = 4
 _FORMATS = ("generic", "trends", "transactions")
 
 
-@dataclass
-class RunManifest:
-    """Everything one pipeline run needs, as parsed from the command line."""
-
-    inputs: list[str] = field(default_factory=list)
-    fmt: str = "generic"
-    variant: ModelVariant = ModelVariant.AUTO
-    mode: str = "simulated"
-    horizon: int = 0
-    height_fraction: float = 0.5
-    ratio_scale: float = 1.6
-    less_than_one_policy: str = "as_half"
-    date_column: str | int = 0
-    value_column: str | int = 1
-    clamp_nonnegative: bool = False
-    output_dir: str = "."
-
-    @property
-    def ingest_options(self) -> IngestOptions:
-        return IngestOptions(
-            less_than_one_policy=self.less_than_one_policy,
-            date_column=self.date_column,
-            value_column=self.value_column,
-        )
-
-
-def load_series(path: str | Path, manifest: RunManifest) -> TimeSeries:
+def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
     text = Path(path).read_text(encoding="utf-8-sig")
-    opts = manifest.ingest_options
-    if manifest.fmt == "trends":
+    opts = IngestOptions(
+        less_than_one_policy=args.less_than_one,
+        date_column=args.date_column,
+        value_column=args.value_column,
+    )
+    if args.format == "trends":
         return parse_google_trends_csv(text, opts)
-    if manifest.fmt == "transactions":
+    if args.format == "transactions":
         return parse_transactions_csv(text, opts)
     return parse_generic_csv(text, opts)
 
@@ -94,6 +76,14 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
@@ -128,61 +118,57 @@ def _fit_payload(series: TimeSeries) -> dict:
     return payload
 
 
-def cmd_fit(manifest: RunManifest) -> int:
-    series = load_series(manifest.inputs[0], manifest)
-    out = Path(manifest.output_dir)
-    _write_json(out / "fit.json", _fit_payload(series))
+def cmd_fit(args: argparse.Namespace) -> int:
+    series = load_series(args.input, args)
+    _write_json(Path(args.output_dir) / "fit.json", _fit_payload(series))
     return EXIT_OK
 
 
-def cmd_forecast(manifest: RunManifest) -> int:
-    series = load_series(manifest.inputs[0], manifest)
+def cmd_forecast(args: argparse.Namespace) -> int:
+    series = load_series(args.input, args)
     coeffs = fit_quadratic(series)
-    tail = profile(series, manifest.height_fraction, manifest.ratio_scale)
+    tail = profile(series, args.height_fraction, args.tail_constant)
     result = forecast(
         series,
         coeffs,
         tail,
         ForecastConfig(
-            mode=manifest.mode,
-            horizon=manifest.horizon,
-            clamp_nonnegative=manifest.clamp_nonnegative,
-            variant=manifest.variant,
+            mode=args.mode,
+            horizon=args.horizon,
+            clamp_nonnegative=args.clamp_nonnegative,
+            variant=args.variant,
         ),
     )
-    out = Path(manifest.output_dir)
+    out = Path(args.output_dir)
     _write_json(
         out / "forecast.json",
         {
             "variant_used": result.variant_used.value,
             "correction_term": result.correction_term,
-            "mode": manifest.mode,
-            "horizon": manifest.horizon,
-            "clamp_nonnegative": manifest.clamp_nonnegative,
+            "mode": args.mode,
+            "horizon": args.horizon,
+            "clamp_nonnegative": args.clamp_nonnegative,
             "n_observed": len(series),
             "predicted": [float(v) for v in result.predicted],
         },
     )
-    labels = list(series.periods) + extend_period_labels(series.periods, manifest.horizon)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["period", "actual", "predicted"])
-    for i, label in enumerate(labels):
-        actual = repr(float(series.demands[i])) if i < len(series) else ""
-        writer.writerow([label, actual, repr(float(result.predicted[i]))])
-    _write_text(out / "predictions.csv", buf.getvalue())
+    labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
+    actuals = [repr(v) for v in series.demands.tolist()] + [""] * args.horizon
+    _write_csv(out / "predictions.csv", ["period", "actual", "predicted"],
+               ([label, actual, repr(predicted)] for label, actual, predicted
+                in zip(labels, actuals, result.predicted.tolist())))
     return EXIT_OK
 
 
 def _compare(
-    series: TimeSeries, manifest: RunManifest, modes: tuple[str, ...]
+    series: TimeSeries, args: argparse.Namespace, modes: tuple[str, ...]
 ) -> dict[str, EvaluationReport]:
     """Fit and profile the series once, then compare the models in each mode."""
     coeffs = fit_quadratic(series)
-    tail = profile(series, manifest.height_fraction, manifest.ratio_scale)
+    tail = profile(series, args.height_fraction, args.tail_constant)
     return {
-        mode: compare_models(series, coeffs, tail, mode=mode, variant=manifest.variant,
-                             clamp_nonnegative=manifest.clamp_nonnegative)
+        mode: compare_models(series, coeffs, tail, mode=mode, variant=args.variant,
+                             clamp_nonnegative=args.clamp_nonnegative)
         for mode in modes
     }
 
@@ -197,18 +183,15 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
         _write_json(out / "report.json", report.to_dict())
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["period", "actual", "classical", "modified"])
-    for label, actual, classical, modified in zip(
+    rows = zip(
         series.periods,
         series.demands.tolist(),
         report.classical_predicted.tolist(),
         report.modified_predicted.tolist(),
-    ):
-        writer.writerow([label, repr(actual), repr(classical), repr(modified)])
-    _write_text(out / "predictions.csv", buf.getvalue())
+    )
+    _write_csv(out / "predictions.csv", ["period", "actual", "classical", "modified"],
+               ([label, repr(actual), repr(classical), repr(modified)]
+                for label, actual, classical, modified in rows))
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
@@ -218,36 +201,45 @@ def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None
     _write_text(out / "compare.svg", svg)
 
 
-def cmd_evaluate(manifest: RunManifest, sse_pairs: list[list[float]] | None = None) -> int:
-    if sse_pairs:
-        for pair in sse_pairs:
-            value = improvement_percent(pair[0], pair[1])
-            print(f"improvement_percent {value!r}")
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.sse_pair:
+        for classical, modified in args.sse_pair:
+            print(f"improvement_percent {improvement_percent(classical, modified)!r}")
         return EXIT_OK
-    series = load_series(manifest.inputs[0], manifest)
-    modes = ("one_step", "simulated") if manifest.mode == "both" else (manifest.mode,)
-    _write_evaluation(Path(manifest.output_dir), series, _compare(series, manifest, modes))
+    series = load_series(args.input, args)
+    modes = ("one_step", "simulated") if args.mode == "both" else (args.mode,)
+    _write_evaluation(Path(args.output_dir), series, _compare(series, args, modes))
     return EXIT_OK
 
 
-def cmd_plot(manifest: RunManifest) -> int:
-    series = load_series(manifest.inputs[0], manifest)
+def cmd_plot(args: argparse.Namespace) -> int:
+    series = load_series(args.input, args)
     if len(series) < 2:
         raise DegeneratePlotError(
             "series has 1 point; at least 2 are needed to draw comparison curves - "
             "provide more data"
         )
-    report = _compare(series, manifest, (manifest.mode,))[manifest.mode]
-    _write_plot(Path(manifest.output_dir), series, report)
+    report = _compare(series, args, (args.mode,))[args.mode]
+    _write_plot(Path(args.output_dir), series, report)
     return EXIT_OK
 
 
-def cmd_synth(spec: MonoPeakSpec, start_period: str, output: Path) -> int:
-    series = generate_mono_peak(spec, start_period=start_period)
+def cmd_synth(args: argparse.Namespace) -> int:
+    spec = MonoPeakSpec(
+        n=args.n,
+        peak_time=args.peak_time,
+        peak_height=args.peak_height,
+        decay_rate=args.decay_rate,
+        plateau_level=args.plateau_level,
+        rise_shape=args.rise_shape,
+        noise_amplitude=args.noise_amplitude,
+        seed=args.seed,
+    )
+    series = generate_mono_peak(spec, start_period=args.start_period)
+    output = Path(args.output)
     _write_text(output, to_generic_csv(series))
-    sidecar = output.with_suffix(".spec.json")
     _write_json(
-        sidecar,
+        output.with_suffix(".spec.json"),
         {
             "n": spec.n,
             "peak_time": spec.peak_time,
@@ -257,18 +249,18 @@ def cmd_synth(spec: MonoPeakSpec, start_period: str, output: Path) -> int:
             "rise_shape": spec.rise_shape,
             "noise_amplitude": spec.noise_amplitude,
             "seed": spec.seed,
-            "start_period": start_period,
+            "start_period": args.start_period,
         },
     )
     return EXIT_OK
 
 
-def _batch_one(manifest: RunManifest, path: str, out_dir: Path) -> tuple[str, int, str]:
+def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[str, int, str]:
     """evaluate and plot as one pass: one parse, one fit, one profile, one comparison."""
     try:
-        series = load_series(path, manifest)
-        report = _compare(series, manifest, (manifest.mode,))[manifest.mode]
-        _write_evaluation(out_dir, series, {manifest.mode: report})
+        series = load_series(path, args)
+        report = _compare(series, args, (args.mode,))[args.mode]
+        _write_evaluation(out_dir, series, {args.mode: report})
         _write_plot(out_dir, series, report)
     except (BasscastError, OSError) as exc:
         return path, _exit_code_for(exc), str(exc)
@@ -294,10 +286,10 @@ def _output_names(inputs: list[str]) -> list[str]:
     return names
 
 
-def cmd_batch(manifest: RunManifest) -> int:
-    out = Path(manifest.output_dir)
-    results = [_batch_one(manifest, path, out / name)
-               for path, name in zip(manifest.inputs, _output_names(manifest.inputs))]
+def cmd_batch(args: argparse.Namespace) -> int:
+    out = Path(args.output_dir)
+    results = [_batch_one(args, path, out / name)
+               for path, name in zip(args.inputs, _output_names(args.inputs))]
     exit_code = EXIT_OK
     for path, code, message in results:
         status = "ok" if code == EXIT_OK else f"failed: {message}"
@@ -311,52 +303,35 @@ def _exit_code_for(exc: BasscastError | OSError) -> int:
     return exc.exit_code if isinstance(exc, BasscastError) else EXIT_IO
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _column_selector(raw: str) -> str | int:
+    return int(raw) if raw.lstrip("+-").isdigit() else raw
+
+
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=_FORMATS, default="generic",
                         help="input file format (default: generic)")
     parser.add_argument("--less-than-one", choices=("as_half", "as_zero", "as_one"),
                         default="as_half",
                         help="mapping for censored '<1' trend cells (default: as_half)")
-    parser.add_argument("--date-column", default="0",
+    parser.add_argument("--date-column", type=_column_selector, default="0",
                         help="generic CSV period column, name or 0-based index (default: 0)")
-    parser.add_argument("--value-column", default="1",
+    parser.add_argument("--value-column", type=_column_selector, default="1",
                         help="generic CSV demand column, name or 0-based index (default: 1)")
+    parser.add_argument("--output-dir", default=".", help="directory for output files")
+
+
+def _add_model_flags(parser: argparse.ArgumentParser, modes: tuple[str, ...]) -> None:
     parser.add_argument("--variant",
                         choices=[v.value for v in ModelVariant], default="auto",
                         help="forecast variant (default: auto = lowest in-sample SSE)")
-    parser.add_argument("--mode", choices=("one_step", "simulated", "both"),
-                        default="simulated",
-                        help="prediction mode; 'both' is accepted by evaluate (default: simulated)")
-    parser.add_argument("--horizon", type=int, default=0,
-                        help="periods to predict beyond the data (default: 0)")
+    parser.add_argument("--mode", choices=modes, default="simulated",
+                        help="prediction mode (default: simulated)")
     parser.add_argument("--height-fraction", type=float, default=0.5,
                         help="fraction of curve height where the tail starts (default: 0.5)")
     parser.add_argument("--tail-constant", type=float, default=1.6,
                         help="slope of the r1/r2 ratio formulas (default: 1.6)")
     parser.add_argument("--clamp-nonnegative", action="store_true",
                         help="floor predictions at zero before accumulation")
-    parser.add_argument("--output-dir", default=".", help="directory for output files")
-
-
-def _column_selector(raw: str) -> str | int:
-    return int(raw) if raw.lstrip("+-").isdigit() else raw
-
-
-def _manifest_from(args: argparse.Namespace, inputs: list[str]) -> RunManifest:
-    return RunManifest(
-        inputs=inputs,
-        fmt=args.format,
-        variant=ModelVariant(args.variant),
-        mode=args.mode,
-        horizon=args.horizon,
-        height_fraction=args.height_fraction,
-        ratio_scale=args.tail_constant,
-        less_than_one_policy=args.less_than_one,
-        date_column=_column_selector(args.date_column),
-        value_column=_column_selector(args.value_column),
-        clamp_nonnegative=args.clamp_nonnegative,
-        output_dir=args.output_dir,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,22 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = ("one_step", "simulated")
 
-    for name, help_text in (
-        ("fit", "fit the demand recursion and write fit.json"),
-        ("forecast", "write forecast.json and predictions.csv"),
-        ("plot", "write compare.svg for actual vs predictions"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="input CSV file")
-        _add_common_flags(p)
+    p = sub.add_parser("fit", help="fit the demand recursion and write fit.json")
+    p.add_argument("input", help="input CSV file")
+    _add_input_flags(p)
+    p.set_defaults(run=cmd_fit)
+
+    p = sub.add_parser("forecast", help="write forecast.json and predictions.csv")
+    p.add_argument("input", help="input CSV file")
+    _add_input_flags(p)
+    _add_model_flags(p, modes)
+    p.add_argument("--horizon", type=int, default=0,
+                   help="periods to predict beyond the data (default: 0)")
+    p.set_defaults(run=cmd_forecast)
 
     p = sub.add_parser("evaluate", help="compare classical vs modified, write report.json")
-    p.add_argument("input", nargs="?", help="input CSV file (omit with --sse-pair)")
-    p.add_argument("--sse-pair", nargs=2, type=float, action="append",
-                   metavar=("CLASSICAL", "MODIFIED"),
-                   help="print the improvement percentage for a raw SSE pair and exit")
-    _add_common_flags(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="input CSV file (omit with --sse-pair)")
+    source.add_argument("--sse-pair", nargs=2, type=float, action="append",
+                        metavar=("CLASSICAL", "MODIFIED"),
+                        help="print the improvement percentage for a raw SSE pair and exit")
+    _add_input_flags(p)
+    _add_model_flags(p, (*modes, "both"))
+    p.set_defaults(run=cmd_evaluate)
+
+    p = sub.add_parser("plot", help="write compare.svg for actual vs predictions")
+    p.add_argument("input", help="input CSV file")
+    _add_input_flags(p)
+    _add_model_flags(p, modes)
+    p.set_defaults(run=cmd_plot)
 
     p = sub.add_parser("synth", help="generate a seeded mono-peak fixture CSV")
     p.add_argument("--n", type=int, default=180, help="series length (default: 180)")
@@ -401,50 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-period", default="2004-01",
                    help="first YYYY-MM label (default: 2004-01)")
     p.add_argument("--output", default="mono_peak.csv", help="output CSV path")
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("batch", help="evaluate + plot many inputs, one subdirectory each")
     p.add_argument("inputs", nargs="+", help="input CSV files")
-    _add_common_flags(p)
+    _add_input_flags(p)
+    _add_model_flags(p, modes)
+    p.set_defaults(run=cmd_batch)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "fit":
-            return cmd_fit(_manifest_from(args, [args.input]))
-        if args.command == "forecast":
-            return cmd_forecast(_manifest_from(args, [args.input]))
-        if args.command == "plot":
-            return cmd_plot(_manifest_from(args, [args.input]))
-        if args.command == "evaluate":
-            if not args.sse_pair and args.input is None:
-                parser.error("evaluate needs an input file or --sse-pair")
-            inputs = [args.input] if args.input else []
-            return cmd_evaluate(_manifest_from(args, inputs), args.sse_pair)
-        if args.command == "synth":
-            spec = MonoPeakSpec(
-                n=args.n,
-                peak_time=args.peak_time,
-                peak_height=args.peak_height,
-                decay_rate=args.decay_rate,
-                plateau_level=args.plateau_level,
-                rise_shape=args.rise_shape,
-                noise_amplitude=args.noise_amplitude,
-                seed=args.seed,
-            )
-            return cmd_synth(spec, args.start_period, Path(args.output))
-        if args.command == "batch":
-            if args.mode == "both":
-                parser.error("batch does not accept --mode both")
-            return cmd_batch(_manifest_from(args, list(args.inputs)))
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.run(args)
     except (BasscastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    return EXIT_OK  # pragma: no cover
 
 
 def run() -> None:

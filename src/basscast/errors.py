@@ -40,7 +40,11 @@ class InsufficientDataError(BasscastError):
 
 
 class SingularFitError(BasscastError):
-    """The regression design matrix is rank deficient."""
+    """The regression has no unique finite solution.
+
+    Raised when the design matrix is rank deficient, or when float64
+    overflow on very large demands leaves no finite fit.
+    """
 
     exit_code = 3
 

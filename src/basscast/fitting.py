@@ -64,7 +64,8 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
 
     Raises InsufficientDataError for fewer than four observations and
     SingularFitError when the design matrix is rank deficient (for example a
-    series whose cumulative values are all equal), naming the collinear columns.
+    series whose cumulative values are all equal), naming the collinear columns,
+    or when demands so large that float64 overflows leave no finite fit.
     """
     n = len(series)
     if n < MIN_OBSERVATIONS:
@@ -76,8 +77,13 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
 
     # Centre and scale the cumulative column before solving; D**2 on long
     # series would otherwise dominate the conditioning.
-    mu = float(D.mean())
-    s = float(D.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
+        mu = float(D.mean())
+        s = float(D.std())
+    if not (math.isfinite(mu) and math.isfinite(s)):
+        raise SingularFitError(
+            f"cumulative demand overflows float64 (mean {mu}, std {s}); rescale the demands"
+        )
     if s == 0.0:
         s = 1.0
     z = (D - mu) / s
@@ -103,13 +109,13 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
     a = a_s - b_s * mu / s + c_s * mu * mu / (s * s)
 
     resid = d - (a + b * D + c * D * D)
-    return QuadraticCoefficients(
-        a=a,
-        b=b,
-        c=c,
-        residual_sse=float(resid @ resid),
-        n_obs=n,
-    )
+    residual_sse = float(resid @ resid)
+    if not all(map(math.isfinite, (a, b, c, residual_sse))):
+        raise SingularFitError(
+            f"fit overflows float64 (a={a}, b={b}, c={c}, residual_sse={residual_sse}); "
+            "rescale the demands"
+        )
+    return QuadraticCoefficients(a=a, b=b, c=c, residual_sse=residual_sse, n_obs=n)
 
 
 def derive_bass_parameters(coeffs: QuadraticCoefficients) -> BassParameters:

@@ -158,6 +158,14 @@ class TestEvaluateCommand:
             main(["evaluate"])
         assert err.value.code == 2
 
+    def test_input_and_sse_pair_together_exit_2(self, tmp_path, capsys):
+        csv_path = write_mono_peak(tmp_path / "series.csv")
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", str(csv_path), "--sse-pair", "2", "1",
+                  "--output-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestForecastCommand:
     def test_horizon_extends_predictions(self, tmp_path):
@@ -379,7 +387,36 @@ def test_every_error_class_has_a_pinned_exit_code():
     assert classes <= set(EXIT_CODES)
 
 
-def test_help_smoke():
+@pytest.mark.parametrize("command", [[], ["fit"], ["forecast"], ["evaluate"], ["plot"],
+                                     ["synth"], ["batch"]], ids=lambda c: c[0] if c else "top")
+def test_help_smoke(command):
     with pytest.raises(SystemExit) as err:
-        main(["--help"])
+        main([*command, "--help"])
     assert err.value.code == 0
+
+
+MODEL_FLAGS = [["--variant", "classical"], ["--mode", "simulated"],
+               ["--height-fraction", "0.5"], ["--tail-constant", "1.6"],
+               ["--clamp-nonnegative"]]
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(("fit", flag) for flag in MODEL_FLAGS),
+    *((command, ["--horizon", "1"]) for command in ("fit", "evaluate", "plot", "batch")),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, command, flag):
+    csv_path = write_mono_peak(tmp_path / "series.csv")
+    with pytest.raises(SystemExit) as err:
+        main([command, str(csv_path), *flag, "--output-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == [csv_path]
+
+
+@pytest.mark.parametrize("command", ["forecast", "plot", "batch"])
+def test_mode_both_is_rejected_before_the_input_is_read(tmp_path, command):
+    # The input does not exist: reading it would exit 4, so exit 2 shows the
+    # rejection comes first.
+    with pytest.raises(SystemExit) as err:
+        main([command, str(tmp_path / "missing.csv"), "--mode", "both",
+              "--output-dir", str(tmp_path)])
+    assert err.value.code == 2

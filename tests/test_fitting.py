@@ -74,6 +74,14 @@ class TestFitQuadratic:
             fit_quadratic(make([0, 0, 0, 0, 0]))
         assert "cumulative" in str(err.value)
 
+    # 10**120 overflows the fitted intercept and SSE; 10**160 overflows D.std() itself,
+    # which used to zero the scaled column and be misreported as collinear.
+    @pytest.mark.parametrize("scale", [1e120, 1e160])
+    def test_float64_overflow_is_singular(self, scale):
+        with pytest.raises(SingularFitError, match="overflows float64") as err:
+            fit_quadratic(make([(i + 1) * scale for i in range(30)]))
+        assert err.value.columns == ()
+
     def test_residuals_orthogonal_to_design(self):
         rng = SplitMix64(777)
         series = random_diffusion_series(rng)
