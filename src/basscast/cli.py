@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -78,7 +79,7 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -149,14 +150,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "horizon": args.horizon,
             "clamp_nonnegative": args.clamp_nonnegative,
             "n_observed": len(series),
-            "predicted": [float(v) for v in result.predicted],
+            "predicted": result.predicted.tolist(),
         },
     )
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
-    actuals = [repr(v) for v in series.demands.tolist()] + [""] * args.horizon
+    actuals = list(map(repr, series.demands.tolist())) + [""] * args.horizon
     _write_csv(out / "predictions.csv", ["period", "actual", "predicted"],
-               ([label, actual, repr(predicted)] for label, actual, predicted
-                in zip(labels, actuals, result.predicted.tolist())))
+               zip(labels, actuals, map(repr, result.predicted.tolist())))
     return EXIT_OK
 
 
@@ -185,13 +185,11 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
               f"(variant {report.variant_used.value})")
     rows = zip(
         series.periods,
-        series.demands.tolist(),
-        report.classical_predicted.tolist(),
-        report.modified_predicted.tolist(),
+        map(repr, series.demands.tolist()),
+        map(repr, report.classical_predicted.tolist()),
+        map(repr, report.modified_predicted.tolist()),
     )
-    _write_csv(out / "predictions.csv", ["period", "actual", "classical", "modified"],
-               ([label, repr(actual), repr(classical), repr(modified)]
-                for label, actual, classical, modified in rows))
+    _write_csv(out / "predictions.csv", ["period", "actual", "classical", "modified"], rows)
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
@@ -334,7 +332,13 @@ def _add_model_flags(parser: argparse.ArgumentParser, modes: tuple[str, ...]) ->
                         help="floor predictions at zero before accumulation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built on the first call and shared by every later one.
+
+    Parsing reads the tree and never changes it, so one tree serves every
+    ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="basscast",
         description="Demand-curve fitting and forecasting with tail-corrected "

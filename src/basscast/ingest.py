@@ -143,29 +143,52 @@ def _resolve_column(selector: str | int, header: list[str], row_num: int) -> int
     return stripped.index(selector)
 
 
+def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
+                 previous: str | None) -> tuple[str, float]:
+    """The (label, value) of a non-blank generic data row, checked cell by cell.
+
+    This is the slow path of parse_generic_csv, for rows its fast path
+    doubts; it raises the error that names the row's first problem.
+    """
+    if len(row) <= max(date_idx, value_idx):
+        raise FormatError(f"row has {len(row)} columns, need {max(date_idx, value_idx) + 1}",
+                          row=row_num)
+    label = row[date_idx].strip()
+    _check_ascending(label, previous, row_num)
+    return label, _number(row[value_idx].strip(), row_num)
+
+
 def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
     """Parse a two-column CSV (period label, numeric demand) with one header row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for header in reader:
+        if not _blank(header):
+            break
+    else:
+        raise FormatError("no header row found; file has no data rows")
+    date_idx = _resolve_column(opts.date_column, header, reader.line_num)
+    value_idx = _resolve_column(opts.value_column, header, reader.line_num)
+    unit = header[value_idx].strip() or "unitless"
     periods: list[str] = []
     demands: list[float] = []
-    date_idx = value_idx = None
-    unit = "unitless"
-    for line_num, row in _rows(text):
-        if _blank(row):
-            continue
-        if date_idx is None:
-            date_idx = _resolve_column(opts.date_column, row, line_num)
-            value_idx = _resolve_column(opts.value_column, row, line_num)
-            unit = row[value_idx].strip() or "unitless"
-            continue
-        if len(row) <= max(date_idx, value_idx):
-            raise FormatError(f"row has {len(row)} columns, need {max(date_idx, value_idx) + 1}",
-                              row=line_num)
-        label = row[date_idx].strip()
-        _check_ascending(label, periods[-1] if periods else None, line_num)
+    previous = None
+    for row in reader:
+        # Fast path: a row whose cells index, convert and ascend cleanly is taken
+        # as it stands; float(cell) accepts only what float(cell.strip()) accepts,
+        # with the same value. Every other non-blank row goes through _generic_row.
+        try:
+            label = row[date_idx].strip()
+            value = float(row[value_idx])
+        except (IndexError, ValueError):
+            if _blank(row):
+                continue
+            label = None
+        if (label is None or not math.isfinite(value)
+                or previous is not None and label <= previous):
+            label, value = _generic_row(row, reader.line_num, date_idx, value_idx, previous)
         periods.append(label)
-        demands.append(_number(row[value_idx].strip(), line_num))
-    if date_idx is None:
-        raise FormatError("no header row found; file has no data rows")
+        demands.append(value)
+        previous = label
     if not periods:
         raise EmptyInputError("no data rows after the header")
     return TimeSeries(periods, demands, unit=unit)

@@ -1,6 +1,7 @@
 """Core time-series types and the cumulative/average primitives built on them."""
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,8 +29,8 @@ class TimeSeries:
     unit: str = "unitless"
 
     def __init__(self, periods: Iterable[str], demands: Sequence[float], unit: str = "unitless"):
-        periods = tuple(str(p) for p in periods)
-        values = np.asarray(demands, dtype=np.float64).copy()
+        periods = tuple(map(str, periods))
+        values = np.array(demands, dtype=np.float64)
         if values.ndim != 1:
             raise ValidationError(f"demands must be one-dimensional, got shape {values.shape}")
         if len(periods) == 0 and values.size == 0:
@@ -41,12 +42,12 @@ class TimeSeries:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValidationError(f"demand at period {periods[bad]!r} is not finite")
-        for i in range(1, len(periods)):
-            if periods[i] <= periods[i - 1]:
-                raise ValidationError(
-                    f"period labels must be strictly ascending: "
-                    f"{periods[i]!r} follows {periods[i - 1]!r}"
-                )
+        if not all(map(operator.lt, periods, periods[1:])):
+            i = next(i for i in range(1, len(periods)) if periods[i] <= periods[i - 1])
+            raise ValidationError(
+                f"period labels must be strictly ascending: "
+                f"{periods[i]!r} follows {periods[i - 1]!r}"
+            )
         values.flags.writeable = False
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "demands", values)
@@ -75,7 +76,8 @@ def cumulative(series: TimeSeries) -> np.ndarray:
     """
     if len(series) == 0:  # pragma: no cover - constructor forbids this
         raise EmptyInputError("cannot accumulate an empty series")
-    running = np.cumsum(series.demands)
+    with np.errstate(over="ignore"):  # fit_quadratic reports the overflow as SingularFitError
+        running = np.cumsum(series.demands)
     values = np.concatenate(([0.0], running[:-1]))
     values.flags.writeable = False
     return values

@@ -36,7 +36,7 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
-    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'

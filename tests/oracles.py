@@ -6,6 +6,8 @@ compensated summation instead of running sums, linear scans instead of argmax.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -14,9 +16,14 @@ import numpy as np
 from basscast import (
     DIVERGENCE_GUARD,
     DivergenceError,
+    EmptyInputError,
     EvaluationReport,
     ForecastConfig,
+    FormatError,
+    IngestOptions,
     ModelVariant,
+    TimeSeries,
+    ValidationError,
     cumulative,
     forecast,
     improvement_percent,
@@ -216,4 +223,89 @@ def two_call_compare_models(
         mape_skipped=mape_skipped,
         classical_predicted=classical.predicted,
         modified_predicted=modified.predicted,
+    )
+
+
+# parse_generic_csv as it was when it took rows from a generator and checked
+# each with _blank, _check_ascending and _number, kept verbatim (helpers
+# included) as the reference for the one-pass parser.
+
+
+def _rows(text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        yield reader.line_num, row
+
+
+def _blank(row: list[str]) -> bool:
+    """True for a row with no cells or only whitespace in its cells."""
+    return not "".join(row).strip()
+
+
+def _check_ascending(label: str, previous: str | None, row_num: int) -> None:
+    if previous is not None and label <= previous:
+        raise ValidationError(
+            f"row {row_num}: period {label!r} does not ascend past {previous!r}"
+        )
+
+
+def _number(cell: str, row_num: int, what: str = "value") -> float:
+    """The finite number in a stripped cell, or FormatError naming the row."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise FormatError(f"unparseable {what} cell {cell!r}", row=row_num) from None
+    if not math.isfinite(value):
+        raise FormatError(f"{what} cell {cell!r} is not finite", row=row_num)
+    return value
+
+
+def _resolve_column(selector: str | int, header: list[str], row_num: int) -> int:
+    if isinstance(selector, int):
+        if not 0 <= selector < len(header):
+            raise FormatError(
+                f"column index {selector} out of range for header {header!r}", row=row_num
+            )
+        return selector
+    stripped = [cell.strip() for cell in header]
+    if selector not in stripped:
+        raise FormatError(f"column {selector!r} not found in header {header!r}", row=row_num)
+    return stripped.index(selector)
+
+
+def row_by_row_parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
+    """Parse a two-column CSV (period label, numeric demand) with one header row."""
+    periods: list[str] = []
+    demands: list[float] = []
+    date_idx = value_idx = None
+    unit = "unitless"
+    for line_num, row in _rows(text):
+        if _blank(row):
+            continue
+        if date_idx is None:
+            date_idx = _resolve_column(opts.date_column, row, line_num)
+            value_idx = _resolve_column(opts.value_column, row, line_num)
+            unit = row[value_idx].strip() or "unitless"
+            continue
+        if len(row) <= max(date_idx, value_idx):
+            raise FormatError(f"row has {len(row)} columns, need {max(date_idx, value_idx) + 1}",
+                              row=line_num)
+        label = row[date_idx].strip()
+        _check_ascending(label, periods[-1] if periods else None, line_num)
+        periods.append(label)
+        demands.append(_number(row[value_idx].strip(), line_num))
+    if date_idx is None:
+        raise FormatError("no header row found; file has no data rows")
+    if not periods:
+        raise EmptyInputError("no data rows after the header")
+    return TimeSeries(periods, demands, unit=unit)
+
+
+def numpy_scalar_polyline(xs, ys, color: str, dash: str | None, label: str) -> str:
+    """svgplot._polyline as it was when it formatted numpy float64 scalars, kept verbatim."""
+    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
+        f'{dash_attr} points="{points}"/>'
     )

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ from basscast import (
     generate_mono_peak,
     to_generic_csv,
 )
-from basscast.cli import _exit_code_for, main
+from basscast.cli import _exit_code_for, build_parser, main
 from conftest import EXACT_COEFFS
 
 
@@ -420,3 +424,53 @@ def test_mode_both_is_rejected_before_the_input_is_read(tmp_path, command):
         main([command, str(tmp_path / "missing.csv"), "--mode", "both",
               "--output-dir", str(tmp_path)])
     assert err.value.code == 2
+
+
+def _fresh_process(argv, cwd):
+    """Run the command line in a new interpreter, as a user's shell would."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-m", "basscast.cli", *argv], cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def _payloads(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestReusedParser:
+    """main parses every call with one parser, built once per process."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_appended_sse_pairs_do_not_leak_into_the_next_call(self, capsys):
+        for _ in range(2):
+            assert main(["evaluate", "--sse-pair", "1", "2"]) == 0
+            assert capsys.readouterr().out == "improvement_percent -100.0\n"
+
+    def test_usage_error_then_evaluate_writes_fresh_process_bytes(self, tmp_path):
+        csv_path = write_mono_peak(tmp_path / "series.csv")
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", str(csv_path), "--sse-pair", "2", "1", "--horizon", "3"])
+        assert err.value.code == 2
+        assert main(["evaluate", str(csv_path), "--output-dir", str(tmp_path / "reused")]) == 0
+        _fresh_process(["evaluate", str(csv_path), "--output-dir", "fresh"], tmp_path)
+        assert _payloads(tmp_path / "reused") == _payloads(tmp_path / "fresh")
+
+    def test_alternating_commands_write_the_bytes_of_separate_processes(self, tmp_path):
+        csv_path = str(write_mono_peak(tmp_path / "series.csv"))
+        commands = [
+            ["forecast", csv_path, "--horizon", "3", "--clamp-nonnegative"],
+            ["evaluate", csv_path, "--mode", "both"],
+            ["plot", csv_path, "--variant", "classical"],
+            ["forecast", csv_path],
+            ["evaluate", csv_path, "--mode", "one_step"],
+            ["plot", csv_path],
+        ]
+        for k, argv in enumerate(commands):
+            assert main([*argv, "--output-dir", str(tmp_path / f"reused{k}")]) == 0
+        for k, argv in enumerate(commands):
+            _fresh_process([*argv, "--output-dir", f"fresh{k}"], tmp_path)
+            assert _payloads(tmp_path / f"reused{k}") == _payloads(tmp_path / f"fresh{k}")

@@ -1,6 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from basscast import (
     EmptyInputError,
@@ -17,7 +20,7 @@ from basscast import (
     TimeSeries,
     monthly_periods,
 )
-from oracles import compensated_sum, group_by_month
+from oracles import compensated_sum, group_by_month, row_by_row_parse_generic_csv
 
 TRENDS_HEADER = "Category: All categories\n\nMonth,kingston ram ddr2: (Worldwide)\n"
 
@@ -181,6 +184,77 @@ class TestParseGenericCsv:
     def test_column_index_out_of_range(self):
         with pytest.raises(FormatError):
             parse_generic_csv("month,sales\n2020-01,1\n", IngestOptions(value_column=5))
+
+
+# Cells a generic CSV may hold: numbers as written by people and programs,
+# non-finite and non-numeric text, whitespace float() does not skip (\x1c) and
+# does (\u2003), and cells that need quoting (commas, quotes, line breaks).
+_ODD_VALUE_CELLS = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "abc", "", " ", " 2.5 ", "\x1c1.5", "\u20037\u2003",
+    "1_0", "1,5", 'a"b', "x\ny", "\r",
+])
+_NUMBER_CELLS = st.one_of(st.floats(min_value=-1e12, max_value=1e12).map(repr),
+                          st.integers(min_value=-10**6, max_value=10**6).map(str))
+_NOISE_CELLS = st.text(alphabet=' \t,"\n\r\x1cab0123456789.-e', max_size=6)
+
+
+def _selector(draw, columns, name):
+    """Mostly the column's index or name; now and then any index or name at all."""
+    choices = [columns.index(name), name] if name in columns else []
+    return draw(st.sampled_from(choices * 12 + [0, 1, 3, "note", "missing"]))
+
+
+@st.composite
+def generic_csv_inputs(draw):
+    """(text, date_column, value_column) for a CSV with period/demand/note columns
+    and rows that are mostly well formed: ascending, equal or descending labels,
+    short rows, blank and whitespace-only rows, odd cells and raw unquoted lines."""
+    columns = draw(st.permutations(["period", "demand", "note"]))
+    columns = columns[:draw(st.sampled_from([1, 2, 3, 3, 3, 3]))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        buf.write(draw(st.sampled_from(["", " ", ",\t"])) + "\n")
+    writer.writerow([draw(st.sampled_from([c] * 6 + [f" {c} ", ""])) for c in columns])
+    label = 100
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "raw"]))
+        if kind == "blank":
+            buf.write(draw(st.sampled_from(["", " ", " , ", "\t,,"])) + "\n")
+            continue
+        if kind == "raw":
+            buf.write(draw(_NOISE_CELLS) + "\n")
+            continue
+        label += draw(st.sampled_from([1] * 12 + [0, -1]))
+        cells = {
+            "period": draw(st.sampled_from([f"p{label}"] * 4 + [f" p{label} ", f"p{label},x"])),
+            "demand": draw(_ODD_VALUE_CELLS if draw(st.integers(0, 15)) == 0 else _NUMBER_CELLS),
+            "note": draw(_NOISE_CELLS),
+        }
+        row = [cells[c] for c in columns]
+        if draw(st.integers(min_value=0, max_value=15)) == 0:
+            row = row[:draw(st.integers(min_value=0, max_value=len(row)))]
+        writer.writerow(row)
+    return (buf.getvalue(), _selector(draw, columns, "period"),
+            _selector(draw, columns, "demand"))
+
+
+def _outcome(parse, text, opts):
+    """A parsed series as plain values, or the error as (class, message, row)."""
+    try:
+        series = parse(text, opts)
+    except Exception as exc:  # every error must match the reference's, whatever its class
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return series.periods, series.unit, series.demands.tobytes()
+
+
+@settings(max_examples=400)
+@given(generic_csv_inputs())
+def test_one_pass_parser_matches_row_by_row_reference(inputs):
+    text, date_column, value_column = inputs
+    opts = IngestOptions(date_column=date_column, value_column=value_column)
+    assert _outcome(parse_generic_csv, text, opts) == _outcome(
+        row_by_row_parse_generic_csv, text, opts)
 
 
 class TestAggregateTransactions:

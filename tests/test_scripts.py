@@ -44,3 +44,18 @@ def test_cli_entry_point_exit_codes(tmp_path, argv, code, stderr):
     assert result.returncode == code, result.stderr
     assert stderr in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_cumulative_overflow_is_one_error_line_under_warnings_as_errors(tmp_path):
+    # Demands near float64's maximum: their running sum passes it by the second row.
+    (tmp_path / "huge.csv").write_text(
+        "period,demand\n" + "".join(f"t{i:03d},{(i + 1) * 1e306!r}\n" for i in range(30)),
+        encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "basscast.cli", "fit",
+                             "huge.csv"], cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: cumulative demand overflows float64")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr

@@ -53,6 +53,11 @@ class TestTimeSeries:
         with pytest.raises(ValidationError):
             TimeSeries(["2015-02", "2015-01"], [1.0, 2.0])
 
+    def test_unordered_error_names_the_first_offending_pair(self):
+        with pytest.raises(ValidationError) as err:
+            TimeSeries(["a", "b", "d", "c", "c"], [1.0] * 5)
+        assert str(err.value) == "period labels must be strictly ascending: 'c' follows 'd'"
+
     def test_demands_are_read_only(self):
         s = make([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import xml.etree.ElementTree as ET
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from basscast import (
     DegeneratePlotError,
@@ -13,7 +16,9 @@ from basscast import (
     forecast,
     ForecastConfig,
     ModelVariant,
+    svgplot,
 )
+from oracles import numpy_scalar_polyline
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -77,3 +82,25 @@ def test_unit_is_escaped():
     root = ET.fromstring(svg)
     texts = [t.text for t in root.findall(f".//{SVG_NS}text")]
     assert "a<b>&c" in texts
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.0005, 0.0015]),
+    st.integers(min_value=-10**6, max_value=10**6).map(float),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@given(st.integers(min_value=2, max_value=30).flatmap(
+    lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=3, max_size=3)))
+def test_svg_bytes_match_numpy_scalar_formatting(curves):
+    actual, classical, modified = curves
+    series = TimeSeries(monthly_periods(len(actual)), actual)
+    small = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1])
+    report = compare_models(small, fit_quadratic(small), profile(small))
+    svg = render_comparison_svg(series, classical, modified, report)
+    with mock.patch.object(svgplot, "_polyline", numpy_scalar_polyline):
+        assert svg == render_comparison_svg(series, classical, modified, report)
+    xs, ys = np.array(classical), np.array(modified)
+    assert svgplot._polyline(xs, ys, "red", None, "c") == numpy_scalar_polyline(
+        xs, ys, "red", None, "c")
