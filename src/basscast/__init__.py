@@ -25,15 +25,7 @@ from .errors import (
 )
 from .evaluation import EvaluationReport, compare_models, improvement_percent, mae, mape, rmse, sse
 from .fitting import BassParameters, QuadraticCoefficients, derive_bass_parameters, fit_quadratic
-from .forecast import (
-    DIVERGENCE_GUARD,
-    ForecastConfig,
-    ForecastResult,
-    ModelVariant,
-    forecast,
-    predict_classical,
-    predict_modified,
-)
+from .forecast import DIVERGENCE_GUARD, ForecastConfig, ForecastResult, ModelVariant, forecast
 from .ingest import (
     IngestOptions,
     aggregate_transactions,
@@ -100,8 +92,6 @@ __all__ = [
     "parse_generic_csv",
     "parse_google_trends_csv",
     "parse_transactions_csv",
-    "predict_classical",
-    "predict_modified",
     "profile",
     "render_comparison_svg",
     "rmse",

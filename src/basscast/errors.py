@@ -4,11 +4,20 @@
 class BasscastError(Exception):
     """Base class for all library errors.
 
-    exit_code is the command line's exit status for the error: 2 for an
-    input or format problem (the default), 3 for a numeric or fit problem.
+    row is the 1-based physical line of the input file that raised the error,
+    or None when no single line did; a row is named in the message as a
+    "row N: " prefix. exit_code is the command line's exit status for the
+    error: 2 for an input or format problem (the default), 3 for a numeric or
+    fit problem.
     """
 
     exit_code = 2
+
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
+        if row is not None:
+            message = f"row {row}: {message}"
+        super().__init__(message)
 
 
 class EmptyInputError(BasscastError):
@@ -20,13 +29,7 @@ class ValidationError(BasscastError):
 
 
 class FormatError(BasscastError):
-    """A file or cell could not be parsed; carries the offending row number."""
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
+    """A file or cell could not be parsed."""
 
 
 class ParameterError(BasscastError):

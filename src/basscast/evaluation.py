@@ -20,8 +20,9 @@ class EvaluationReport:
 
     rmse/mae/mape describe the selected variant's predictions; mape skips
     zero-demand periods (mape_skipped counts them) and is None when every
-    period is zero. classical_predicted and modified_predicted are the two
-    compared curves over the observed range; to_dict() leaves them out.
+    period is zero or the percentage overflows float64. classical_predicted
+    and modified_predicted are the two compared curves over the observed
+    range; to_dict() leaves them out.
     """
 
     sse_classical: float
@@ -89,7 +90,8 @@ def mape(
     """Mean absolute percentage error, skipping zero-demand periods.
 
     Returns (value, skipped) where skipped counts the zero periods; the value
-    is None when no non-zero period exists.
+    is None when no non-zero period exists, or when the percentage overflows
+    float64 (a subnormal demand such as 5e-324 can do that).
     """
     a = _values(actual)
     p = _values(predicted)
@@ -99,8 +101,9 @@ def mape(
     skipped = int(a.size - mask.sum())
     if not mask.any():
         return None, skipped
-    value = float((np.abs(a[mask] - p[mask]) / np.abs(a[mask])).mean() * 100.0)
-    return value, skipped
+    with np.errstate(over="ignore"):
+        value = float((np.abs(a[mask] - p[mask]) / np.abs(a[mask])).mean() * 100.0)
+    return (value if math.isfinite(value) else None), skipped
 
 
 def compare_models(

@@ -76,23 +76,6 @@ class ForecastResult:
     candidates: Mapping[ModelVariant, np.ndarray] = field(repr=False)
 
 
-def predict_classical(coeffs: QuadraticCoefficients, cumulative_value: float) -> float:
-    """Predicted demand a + b*D + c*D**2 at lagged cumulative demand D."""
-    if not np.isfinite(cumulative_value):
-        raise ParameterError(f"cumulative value must be finite, got {cumulative_value}")
-    D = cumulative_value
-    return coeffs.a + coeffs.b * D + coeffs.c * D * D
-
-
-def predict_modified(
-    coeffs: QuadraticCoefficients, cumulative_value: float, correction: float
-) -> float:
-    """Classical prediction plus a signed constant correction term."""
-    if not np.isfinite(correction):
-        raise ParameterError(f"correction must be finite, got {correction}")
-    return predict_classical(coeffs, cumulative_value) + correction
-
-
 def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> float:
     if variant is ModelVariant.CLASSICAL:
         return 0.0

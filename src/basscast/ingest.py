@@ -11,8 +11,9 @@ Three formats are supported:
   monthly series; months without transactions inside the observed span are
   emitted with demand 0 so cumulative demand stays defined over real time.
 
-Row numbers in error messages are 1-based and count every physical line,
-header and metadata included.
+Row numbers in error messages, and in the errors' ``row`` attribute, are
+1-based and count every physical line, header, metadata and blank lines
+included.
 """
 from __future__ import annotations
 
@@ -67,9 +68,7 @@ def _blank(row: list[str]) -> bool:
 
 def _check_ascending(label: str, previous: str | None, row_num: int) -> None:
     if previous is not None and label <= previous:
-        raise ValidationError(
-            f"row {row_num}: period {label!r} does not ascend past {previous!r}"
-        )
+        raise ValidationError(f"period {label!r} does not ascend past {previous!r}", row=row_num)
 
 
 def _number(cell: str, row_num: int, what: str = "value") -> float:
@@ -208,26 +207,20 @@ def _parse_timestamp(cell: str, row_num: int) -> str:
     raise FormatError(f"unparseable timestamp {cell!r}", row=row_num)
 
 
-def aggregate_transactions(
-    rows: Sequence[tuple[str, float]],
-    first_row_number: int = 1,
-) -> TimeSeries:
-    """Sum transaction counts into a monthly demand series.
+def _add_transaction(buckets: dict[str, float], stamp: str, count: float, row_num: int) -> None:
+    """Add one transaction's count into the running total of its month."""
+    key = _parse_timestamp(stamp, row_num)
+    count = float(count)
+    if count < 0:
+        raise ValidationError(f"negative count {count}", row=row_num)
+    total = buckets.get(key, 0.0) + count
+    if not math.isfinite(total):
+        raise ValidationError(f"demand at period {key!r} is not finite", row=row_num)
+    buckets[key] = total
 
-    Months with no transactions between the first and last observed month are
-    emitted with demand 0, so the total demand always equals the total of the
-    input counts.
-    """
-    if not rows:
-        raise EmptyInputError("no transaction rows")
-    buckets: dict[str, float] = {}
-    for offset, (stamp, count) in enumerate(rows):
-        row_num = first_row_number + offset
-        key = _parse_timestamp(str(stamp), row_num)
-        count = float(count)
-        if count < 0:
-            raise ValidationError(f"row {row_num}: negative count {count}")
-        buckets[key] = buckets.get(key, 0.0) + count
+
+def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
+    """The month totals as a series, with months that have no transactions set to 0."""
     first, last = min(buckets), max(buckets)
     months = 12 * (int(last[:4]) - int(first[:4])) + int(last[5:]) - int(first[5:]) + 1
     periods = monthly_periods(months, first)
@@ -235,28 +228,44 @@ def aggregate_transactions(
     return TimeSeries(periods, demands, unit="transactions/month")
 
 
+def aggregate_transactions(rows: Sequence[tuple[str, float]]) -> TimeSeries:
+    """Sum transaction counts into a monthly demand series.
+
+    Months with no transactions between the first and last observed month are
+    emitted with demand 0, so the total demand always equals the total of the
+    input counts. Errors name the 1-based position of the offending row.
+    """
+    if not rows:
+        raise EmptyInputError("no transaction rows")
+    buckets: dict[str, float] = {}
+    for row_num, (stamp, count) in enumerate(rows, 1):
+        _add_transaction(buckets, str(stamp), count, row_num)
+    return _monthly_series(buckets)
+
+
 def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
-    """Parse a (timestamp, count) CSV, with or without a header row, and aggregate monthly."""
-    rows: list[tuple[str, float]] = []
-    first_data_line = 1
+    """Parse a (timestamp, count) CSV, with or without a header row, and aggregate monthly.
+
+    Each row is added to its month as it is read, so the first bad row in
+    file order raises.
+    """
+    buckets: dict[str, float] = {}
+    first = True
     for line_num, row in _rows(text):
         if _blank(row):
             continue
         if len(row) < 2:
             raise FormatError(f"expected 'timestamp,count', got {row!r}", row=line_num)
-        if not rows and first_data_line == 1:
-            # Treat the first row as a header when its count cell is not numeric.
+        if first:
+            first = False
             try:
                 float(row[1])
             except ValueError:
-                first_data_line = line_num + 1
-                continue
-        rows.append((row[0], _number(row[1].strip(), line_num, "count")))
-        if len(rows) == 1:
-            first_data_line = line_num
-    if not rows:
+                continue  # the first row is a header when its count cell is not numeric
+        _add_transaction(buckets, row[0], _number(row[1].strip(), line_num, "count"), line_num)
+    if not buckets:
         raise EmptyInputError("no data rows")
-    return aggregate_transactions(rows, first_row_number=first_data_line)
+    return _monthly_series(buckets)
 
 
 def to_generic_csv(series: TimeSeries) -> str:

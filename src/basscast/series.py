@@ -74,8 +74,6 @@ def cumulative(series: TimeSeries) -> np.ndarray:
     Summation is left-to-right, which makes values[t] + demands[t] ==
     values[t+1] hold exactly in floating point.
     """
-    if len(series) == 0:  # pragma: no cover - constructor forbids this
-        raise EmptyInputError("cannot accumulate an empty series")
     with np.errstate(over="ignore"):  # fit_quadratic reports the overflow as SingularFitError
         running = np.cumsum(series.demands)
     values = np.concatenate(([0.0], running[:-1]))
@@ -85,8 +83,6 @@ def cumulative(series: TimeSeries) -> np.ndarray:
 
 def mean_demand(series: TimeSeries) -> float:
     """Arithmetic mean of all demand values, summed left-to-right."""
-    if len(series) == 0:  # pragma: no cover - constructor forbids this
-        raise EmptyInputError("cannot average an empty series")
     total = float(np.cumsum(series.demands)[-1])
     return total / len(series)
 

@@ -244,9 +244,7 @@ def _blank(row: list[str]) -> bool:
 
 def _check_ascending(label: str, previous: str | None, row_num: int) -> None:
     if previous is not None and label <= previous:
-        raise ValidationError(
-            f"row {row_num}: period {label!r} does not ascend past {previous!r}"
-        )
+        raise ValidationError(f"period {label!r} does not ascend past {previous!r}", row=row_num)
 
 
 def _number(cell: str, row_num: int, what: str = "value") -> float:

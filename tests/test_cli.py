@@ -157,6 +157,17 @@ class TestEvaluateCommand:
         for name, blob in first.items():
             assert (tmp_path / name).read_bytes() == blob
 
+    def test_subnormal_demand_writes_null_mape(self, tmp_path, capsys):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("period,demand\n2004-01,5e-324\n2004-02,1.0\n"
+                            "2004-03,0.36787944117144233\n2004-04,0.1353352832366127\n"
+                            "2004-05,0.049787068367863944\n", encoding="utf-8")
+        code = main(["evaluate", str(csv_path), "--mode", "one_step",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "report.json").read_text())["mape"] is None
+
     def test_input_required_without_sse_pair(self):
         with pytest.raises(SystemExit) as err:
             main(["evaluate"])

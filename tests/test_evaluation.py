@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
@@ -95,6 +95,16 @@ class TestMape:
         assert value is None
         assert skipped == 2
 
+    @pytest.mark.parametrize("actual,predicted", [
+        ([5e-324, 1.0], [1.0, 1.0]),        # |a-p|/|a| overflows on a subnormal demand
+        ([1e308, 1.0], [-1e308, 1.0]),      # |a-p| itself overflows
+        ([0.0, 5e-324, 2.0], [1.0, 0.5, 2.0]),
+    ])
+    def test_overflowing_percentage_returns_none(self, actual, predicted):
+        value, skipped = mape(actual, predicted)  # RuntimeWarnings fail the test
+        assert value is None
+        assert skipped == actual.count(0.0)
+
 
 class TestCompareModels:
     def test_noiseless_fixture_has_no_room_to_improve(self, noiseless_series, exact_coeffs):
@@ -187,6 +197,11 @@ def comparison(compare, *args):
 
 class TestOneForecastPassMatchesTwoCallReference:
     @settings(max_examples=80, deadline=None)
+    # A subnormal first demand made mape overflow to inf with a RuntimeWarning.
+    @example(spec=MonoPeakSpec(n=5, peak_time=1, peak_height=1.0, decay_rate=1.0,
+                               plateau_level=0.0, rise_shape=1.0, noise_amplitude=5e-324,
+                               seed=0),
+             mode="one_step", clamp=False, variant=ModelVariant.CLASSICAL)
     @given(
         spec=mono_peak_specs(),
         mode=st.sampled_from(["one_step", "simulated"]),

@@ -13,14 +13,11 @@ from basscast import (
     QuadraticCoefficients,
     SingularFitError,
     TimeSeries,
-    cumulative,
     fit_quadratic,
     forecast,
     generate_mono_peak,
     mean_demand,
     monthly_periods,
-    predict_classical,
-    predict_modified,
     profile,
     sse,
 )
@@ -31,39 +28,9 @@ from oracles import per_step_generate
 # The package rebinds the name "forecast" to the function, so fetch the module by path.
 forecast_module = importlib.import_module("basscast.forecast")
 
-COEFFS = QuadraticCoefficients(a=10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=20)
-
 
 def make(demands):
     return TimeSeries(monthly_periods(len(demands)), demands)
-
-
-class TestPointPredictions:
-    def test_intercept_at_zero_cumulative(self):
-        assert predict_classical(COEFFS, 0.0) == 10.0
-
-    def test_direct_arithmetic(self):
-        assert predict_classical(COEFFS, 100.0) == pytest.approx(50.0)
-
-    def test_reproduces_noiseless_fixture(self, noiseless_series, exact_coeffs):
-        lagged = cumulative(noiseless_series)
-        for d, demand in zip(lagged, noiseless_series.demands):
-            assert predict_classical(exact_coeffs, float(d)) == pytest.approx(demand, abs=1e-9)
-
-    def test_zero_correction_collapses_to_classical(self):
-        assert predict_modified(COEFFS, 100.0, 0.0) == predict_classical(COEFFS, 100.0)
-
-    def test_positive_correction(self):
-        assert predict_modified(COEFFS, 100.0, 0.16 * 20.0) == pytest.approx(53.2)
-
-    def test_negative_correction(self):
-        assert predict_modified(COEFFS, 100.0, -0.34 * 20.0) == pytest.approx(43.2)
-
-    def test_nonfinite_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            predict_classical(COEFFS, float("nan"))
-        with pytest.raises(ParameterError):
-            predict_modified(COEFFS, 1.0, float("inf"))
 
 
 class TestForecastConfig:
@@ -190,10 +157,11 @@ class TestOneStepMode:
         )
         n = len(noiseless_series)
         total = float(np.sum(noiseless_series.demands))
+        a, b, c = exact_coeffs.a, exact_coeffs.b, exact_coeffs.c
         expected = []
         running = total
         for _ in range(3):
-            value = predict_classical(exact_coeffs, running)
+            value = a + b * running + c * running * running
             expected.append(value)
             running += value
         np.testing.assert_allclose(result.predicted[n:], expected, rtol=1e-15)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basscast import (
+    BasscastError,
     EmptyInputError,
     FormatError,
     IngestOptions,
@@ -340,6 +341,138 @@ class TestParseTransactionsCsv:
         with pytest.raises(FormatError) as err:
             parse_transactions_csv(f"timestamp,count\n2016-01-03,2\n2016-01-04,{cell}\n")
         assert err.value.row == 3
+
+
+class TestRowNumbers:
+    @pytest.mark.parametrize("text,cls,row", [
+        ("ts,count\n2020-01-01,1\n\n\n2020-02-01,2\nbogus,3\n", FormatError, 6),
+        ("ts,count\n2020-01-01,1e308\n2020-01-02,1e308\n", ValidationError, 3),
+        ("ts,count\n2020-01-01,1\n\n2020-02-01,-2\n", ValidationError, 4),
+    ])
+    def test_transactions_errors_name_the_physical_line(self, text, cls, row):
+        with pytest.raises(cls) as err:
+            parse_transactions_csv(text)
+        assert err.value.row == row
+        assert str(err.value).startswith(f"row {row}: ")
+
+    def test_transactions_fail_on_the_first_bad_row_in_file_order(self):
+        with pytest.raises(FormatError) as err:
+            parse_transactions_csv("ts,count\nbogus,1\n2020-01-01,many\n")
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: unparseable timestamp 'bogus'"
+
+    def test_aggregate_numbers_rows_from_one(self):
+        with pytest.raises(ValidationError) as err:
+            aggregate_transactions([("2016-01-03", 1e308), ("2016-01-04", 1e308)])
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: demand at period '2016-01' is not finite"
+        with pytest.raises(ValidationError) as err:
+            aggregate_transactions([("2016-01-03", 1), ("2016-02-01", -1)])
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: negative count -1.0"
+
+    @pytest.mark.parametrize("parse,text,row", [
+        (parse_generic_csv, "month,sales\n2020-02,1\n\n2020-01,2\n", 4),
+        (parse_google_trends_csv, TRENDS_HEADER + "2010-02,3\n2010-01,5\n", 5),
+    ])
+    def test_descending_label_error_carries_row(self, parse, text, row):
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert err.value.row == row
+        assert str(err.value).startswith(f"row {row}: period ")
+
+
+# Lines of hand-made files in each format: blank and whitespace lines, headers,
+# and data rows with good, huge, negative, non-finite and unparseable cells and
+# bad labels or timestamps. No line holds a quote, so each CSV record is one line.
+_BLANK_LINES = st.sampled_from(["", " ", "\t", " , ", ",\t,"])
+_COMMON_CELLS = ["", " ", "abc", "nan", "-inf", "1e400", "1e308", "-1", "\x1c2"]
+
+
+def _trends_label(i):
+    return f"{2000 + i // 12}-{i % 12 + 1:02d}"
+
+
+_FORMATS = {
+    "trends": (
+        parse_google_trends_csv,
+        "Month,term: (Worldwide)",
+        st.sampled_from(["Month,term: (Worldwide)", "Month", "Category: All categories",
+                         "2010-1,3", "Jan 2010,3", "2010-01"]),
+        _trends_label,
+        st.sampled_from(["0", "3", " 42 ", "100", "<1", "100.5", "250"] * 3 + _COMMON_CELLS),
+    ),
+    "generic": (
+        parse_generic_csv,
+        "period,demand",
+        st.sampled_from(["period,demand", "period", ",demand", "p1,2,3"]),
+        lambda i: f"p{i}",
+        st.sampled_from(["0", "3", " 4.5 ", "1e12", "-2"] * 3 + _COMMON_CELLS),
+    ),
+    "transactions": (
+        parse_transactions_csv,
+        "ts,count",
+        st.sampled_from(["ts,count", "ts", "bogus,1", "2010-13-01,1", "2010-02-30,1",
+                         "2010-01-01T25:00,1", ",1"]),
+        lambda i: _trends_label(i) + ["-01", "-15T10:00:00", "-28 23:59:59", "-09T00:00Z"][i % 4],
+        st.sampled_from(["0", "3", " 4 ", "2.5"] * 3 + ["1e308"] * 3 + _COMMON_CELLS),
+    ),
+}
+
+
+@st.composite
+def ingest_files(draw):
+    """(format, lines) of a file mostly made of a header and ascending data rows."""
+    fmt = draw(st.sampled_from(sorted(_FORMATS)))
+    _, header, odd_lines, label, values = _FORMATS[fmt]
+    lines = draw(st.lists(_BLANK_LINES | odd_lines, max_size=2))
+    if draw(st.integers(min_value=0, max_value=3)):
+        lines.append(header)
+    index = 120
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "odd", "odd"]))
+        if kind == "blank":
+            lines.append(draw(_BLANK_LINES))
+        elif kind == "odd":
+            lines.append(draw(odd_lines))
+        else:
+            index += draw(st.sampled_from([1, 1, 1, 0, 0, -1]))
+            lines.append(f"{label(index)},{draw(values)}")
+    return fmt, lines
+
+
+def _error(parse, lines):
+    """The error parsing the lines raises, or None; it must be a BasscastError."""
+    try:
+        parse("".join(line + "\n" for line in lines))
+    except Exception as exc:  # any other class fails the test below
+        assert isinstance(exc, BasscastError), repr(exc)
+        return exc
+    return None
+
+
+def _at_end_of_file(exc):
+    """True for an error the whole file raises rather than one of its lines."""
+    return isinstance(exc, EmptyInputError) or "header row found" in str(exc)
+
+
+@settings(max_examples=500)
+@given(ingest_files())
+def test_every_error_names_the_physical_line_that_raised_it(case):
+    fmt, lines = case
+    parse = _FORMATS[fmt][0]
+    exc = _error(parse, lines)
+    if exc is None or _at_end_of_file(exc):
+        return
+    row = exc.row
+    assert row is not None and 1 <= row <= len(lines), (exc, row)
+    assert lines[row - 1].replace(",", "").strip(), "the named line is blank"
+    # The lines up to the named one raise the same error, and the lines before
+    # it raise none that a line raised.
+    again = _error(parse, lines[:row])
+    assert (type(again), str(again), again.row) == (type(exc), str(exc), row)
+    earlier = _error(parse, lines[:row - 1])
+    assert earlier is None or _at_end_of_file(earlier), earlier
 
 
 class TestGenericCsvRoundTrip:
