@@ -34,16 +34,9 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import TimeSeries, cumulative, mean_demand
+from .series import TimeSeries, cumulative, mean_demand, monthly_periods
 from .svgplot import render_comparison_svg
-from .synthetic import (
-    MonoPeakSpec,
-    SplitMix64,
-    generate_bass_series,
-    generate_mono_peak,
-    mono_peak_value,
-    monthly_periods,
-)
+from .synthetic import MonoPeakSpec, generate_mono_peak
 from .tail import TailProfile, compute_ratios, detect_peak, detect_tail_start, profile
 
 __all__ = [
@@ -67,7 +60,6 @@ __all__ = [
     "QuadraticCoefficients",
     "ShapeError",
     "SingularFitError",
-    "SplitMix64",
     "TailProfile",
     "TimeSeries",
     "UndefinedBaselineError",
@@ -81,13 +73,11 @@ __all__ = [
     "detect_tail_start",
     "fit_quadratic",
     "forecast",
-    "generate_bass_series",
     "generate_mono_peak",
     "improvement_percent",
     "mae",
     "mape",
     "mean_demand",
-    "mono_peak_value",
     "monthly_periods",
     "parse_generic_csv",
     "parse_google_trends_csv",

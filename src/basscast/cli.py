@@ -18,13 +18,13 @@ All payload files are deterministic: identical inputs and flags give identical b
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import (
@@ -79,12 +79,28 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+# A period label holding one of these is quoted in predictions.csv.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(label: str) -> str:
+    return '"' + label.replace('"', '""') + '"' if _NEEDS_QUOTES.search(label) else label
+
+
+def _write_predictions(path: Path, header: tuple[str, ...], labels: Sequence[str],
+                       *columns: Iterable[str]) -> None:
+    """Write predictions.csv: the header, then one line of cells per period label.
+
+    The cells after the label are repr strings of floats or "", which never
+    need quoting, so the file is one C-level join of the cells. A label that
+    holds ',', '"', CR or LF is quoted in csv.writer's style (wrapped in '"',
+    inner '"' doubled), so the file reads back as written; one search over all
+    the labels decides whether any label does.
+    """
+    if _NEEDS_QUOTES.search("".join(labels)):
+        labels = list(map(_quoted, labels))
+    rows = itertools.chain((header,), zip(labels, *columns))
+    _write_text(path, "\n".join(map(",".join, rows)) + "\n")
 
 
 def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
@@ -155,8 +171,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     )
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     actuals = list(map(repr, series.demands.tolist())) + [""] * args.horizon
-    _write_csv(out / "predictions.csv", ["period", "actual", "predicted"],
-               zip(labels, actuals, map(repr, result.predicted.tolist())))
+    _write_predictions(out / "predictions.csv", ("period", "actual", "predicted"),
+                       labels, actuals, map(repr, result.predicted.tolist()))
     return EXIT_OK
 
 
@@ -183,13 +199,14 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
         _write_json(out / "report.json", report.to_dict())
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
-    rows = zip(
+    _write_predictions(
+        out / "predictions.csv",
+        ("period", "actual", "classical", "modified"),
         series.periods,
         map(repr, series.demands.tolist()),
         map(repr, report.classical_predicted.tolist()),
         map(repr, report.modified_predicted.tolist()),
     )
-    _write_csv(out / "predictions.csv", ["period", "actual", "classical", "modified"], rows)
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInputError, FormatError, ParameterError, ValidationError
 from .series import _MONTH_RE, TimeSeries, monthly_periods
@@ -55,10 +56,23 @@ class IngestOptions:
         return LESS_THAN_ONE_POLICIES[self.less_than_one_policy]
 
 
-def _rows(text: str) -> Iterable[tuple[int, list[str]]]:
+@contextmanager
+def _csv_reader(text: str) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over text whose csv.Error becomes a FormatError naming the line.
+
+    csv.reader raises csv.Error for a cell longer than csv.field_size_limit().
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
-    for row in reader:
-        yield reader.line_num, row
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise FormatError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+
+
+def _rows(text: str) -> Iterable[tuple[int, list[str]]]:
+    with _csv_reader(text) as reader:
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _blank(row: list[str]) -> bool:
@@ -75,7 +89,7 @@ def _number(cell: str, row_num: int, what: str = "value") -> float:
     """The finite number in a stripped cell, or FormatError naming the row."""
     try:
         value = float(cell)
-    except ValueError:
+    except (TypeError, ValueError):
         raise FormatError(f"unparseable {what} cell {cell!r}", row=row_num) from None
     if not math.isfinite(value):
         raise FormatError(f"{what} cell {cell!r} is not finite", row=row_num)
@@ -88,9 +102,7 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
     demands: list[float] = []
     header_term = None
     in_data = False
-    last_line = 0
     for line_num, row in _rows(text):
-        last_line = line_num
         if not in_data:
             if _blank(row):
                 continue
@@ -122,7 +134,7 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
         periods.append(label)
         demands.append(value)
     if not in_data:
-        raise FormatError("no 'Month' header row found", row=last_line or None)
+        raise FormatError("no 'Month' header row found")
     if not periods:
         raise EmptyInputError("no data rows after the header")
     unit = "trend-index" if not header_term else f"trend-index: {header_term}"
@@ -159,35 +171,35 @@ def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
 
 def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
     """Parse a two-column CSV (period label, numeric demand) with one header row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for header in reader:
-        if not _blank(header):
-            break
-    else:
-        raise FormatError("no header row found; file has no data rows")
-    date_idx = _resolve_column(opts.date_column, header, reader.line_num)
-    value_idx = _resolve_column(opts.value_column, header, reader.line_num)
-    unit = header[value_idx].strip() or "unitless"
     periods: list[str] = []
     demands: list[float] = []
-    previous = None
-    for row in reader:
-        # Fast path: a row whose cells index, convert and ascend cleanly is taken
-        # as it stands; float(cell) accepts only what float(cell.strip()) accepts,
-        # with the same value. Every other non-blank row goes through _generic_row.
-        try:
-            label = row[date_idx].strip()
-            value = float(row[value_idx])
-        except (IndexError, ValueError):
-            if _blank(row):
-                continue
-            label = None
-        if (label is None or not math.isfinite(value)
-                or previous is not None and label <= previous):
-            label, value = _generic_row(row, reader.line_num, date_idx, value_idx, previous)
-        periods.append(label)
-        demands.append(value)
-        previous = label
+    with _csv_reader(text) as reader:
+        for header in reader:
+            if not _blank(header):
+                break
+        else:
+            raise FormatError("no header row found; file has no data rows")
+        date_idx = _resolve_column(opts.date_column, header, reader.line_num)
+        value_idx = _resolve_column(opts.value_column, header, reader.line_num)
+        unit = header[value_idx].strip() or "unitless"
+        previous = None
+        for row in reader:
+            # Fast path: a row whose cells index, convert and ascend cleanly is taken
+            # as it stands; float(cell) accepts only what float(cell.strip()) accepts,
+            # with the same value. Every other non-blank row goes through _generic_row.
+            try:
+                label = row[date_idx].strip()
+                value = float(row[value_idx])
+            except (IndexError, ValueError):
+                if _blank(row):
+                    continue
+                label = None
+            if (label is None or not math.isfinite(value)
+                    or previous is not None and label <= previous):
+                label, value = _generic_row(row, reader.line_num, date_idx, value_idx, previous)
+            periods.append(label)
+            demands.append(value)
+            previous = label
     if not periods:
         raise EmptyInputError("no data rows after the header")
     return TimeSeries(periods, demands, unit=unit)
@@ -208,9 +220,8 @@ def _parse_timestamp(cell: str, row_num: int) -> str:
 
 
 def _add_transaction(buckets: dict[str, float], stamp: str, count: float, row_num: int) -> None:
-    """Add one transaction's count into the running total of its month."""
+    """Add one transaction's finite count into the running total of its month."""
     key = _parse_timestamp(stamp, row_num)
-    count = float(count)
     if count < 0:
         raise ValidationError(f"negative count {count}", row=row_num)
     total = buckets.get(key, 0.0) + count
@@ -239,7 +250,7 @@ def aggregate_transactions(rows: Sequence[tuple[str, float]]) -> TimeSeries:
         raise EmptyInputError("no transaction rows")
     buckets: dict[str, float] = {}
     for row_num, (stamp, count) in enumerate(rows, 1):
-        _add_transaction(buckets, str(stamp), count, row_num)
+        _add_transaction(buckets, str(stamp), _number(count, row_num, "count"), row_num)
     return _monthly_series(buckets)
 
 

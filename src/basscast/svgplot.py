@@ -6,6 +6,7 @@ version control.
 """
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -35,8 +36,9 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
-def _polyline(xs: np.ndarray, ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
-    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
+def _polyline(xs: list[str], ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
+    """One curve; xs are the chart's x coordinates, already formatted as "x,"."""
+    points = " ".join(map(operator.add, xs, map("{:.3f}".format, ys.tolist())))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
@@ -71,7 +73,9 @@ def render_comparison_svg(
     lo = min(actual.min(), classical.min(), modified.min())
     hi = max(actual.max(), classical.max(), modified.max())
 
-    xs = _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1)
+    # The x coordinates depend only on n: format them once, as "x,", for all three curves.
+    xs = list(map("{:.3f},".format,
+                  _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1).tolist()))
     curves = [
         _polyline(xs, _scale(actual, lo, hi, y0, y1), _COLOR_ACTUAL, None, "actual"),
         _polyline(xs, _scale(classical, lo, hi, y0, y1), _COLOR_CLASSICAL, "8 5", "classical"),

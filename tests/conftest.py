@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from basscast import MonoPeakSpec, QuadraticCoefficients, generate_bass_series, generate_mono_peak
+from basscast import MonoPeakSpec, QuadraticCoefficients, generate_mono_peak
+from basscast.synthetic import generate_bass_series
 
 # Coefficients of the noiseless recursion fixture used across modules.
 EXACT_COEFFS = QuadraticCoefficients(a=10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=0)

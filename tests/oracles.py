@@ -307,3 +307,15 @@ def numpy_scalar_polyline(xs, ys, color: str, dash: str | None, label: str) -> s
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
         f'{dash_attr} points="{points}"/>'
     )
+
+
+# cli._write_csv as it was when predictions.csv went through csv.writer, kept
+# verbatim except that it returns the text instead of writing the file.
+
+
+def csv_writer_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

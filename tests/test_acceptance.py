@@ -15,7 +15,6 @@ from basscast import (
     ModelVariant,
     MonoPeakSpec,
     QuadraticCoefficients,
-    SplitMix64,
     TimeSeries,
     compare_models,
     compute_ratios,
@@ -23,7 +22,6 @@ from basscast import (
     fit_quadratic,
     forecast,
     ForecastConfig,
-    generate_bass_series,
     generate_mono_peak,
     improvement_percent,
     mean_demand,
@@ -32,6 +30,7 @@ from basscast import (
     parse_google_trends_csv,
     IngestOptions,
 )
+from basscast.synthetic import SplitMix64, generate_bass_series
 from basscast.cli import main
 from oracles import group_by_month, normal_equations_fit, scan_tail_start
 

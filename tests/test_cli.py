@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from basscast import (
     BasscastError,
@@ -23,12 +27,13 @@ from basscast import (
     UndefinedBaselineError,
     ValidationError,
     errors,
-    generate_bass_series,
     generate_mono_peak,
     to_generic_csv,
 )
-from basscast.cli import _exit_code_for, build_parser, main
+from basscast.synthetic import generate_bass_series
+from basscast.cli import _exit_code_for, _write_predictions, build_parser, main
 from conftest import EXACT_COEFFS
+from oracles import csv_writer_text
 
 
 def write_noiseless(path, n=30):
@@ -87,6 +92,19 @@ class TestFitCommand:
         csv_path = tmp_path / "short.csv"
         csv_path.write_text("period,demand\n2020-01,1\n2020-02,2\n2020-03,3\n", encoding="utf-8")
         assert main(["fit", str(csv_path), "--output-dir", str(tmp_path)]) == 3
+
+    def test_oversized_cell_exits_2_without_traceback(self, tmp_path):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("period,demand\n2020-01," + "1" * 200_000 + "\n", encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "basscast.cli", "fit", str(csv_path), "--output-dir", "out"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: row 2: unreadable CSV: field larger than field limit (131072)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_4(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)]) == 4
@@ -223,6 +241,20 @@ class TestForecastCommand:
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         assert lines[-2].startswith("t013+0001,")
         assert lines[-1].startswith("t013+0002,")
+
+
+    def test_labels_with_csv_metacharacters_read_back(self, tmp_path):
+        labels = ['a,1', 'b"2', "c 3", "d\u00e94"]
+        csv_path = tmp_path / "series.csv"
+        rows = [[label, str(v)] for label, v in zip(labels, [1.0, 5.0, 3.0, 2.0])]
+        csv_path.write_text(csv_writer_text(["period", "demand"], rows), encoding="utf-8")
+        code = main(["forecast", str(csv_path), "--horizon", "2",
+                     "--variant", "classical", "--output-dir", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "predictions.csv").read_text(encoding="utf-8")
+        assert '\n"a,1",1.0,' in text and '\n"b""2",5.0,' in text
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert [row[0] for row in read] == ["period", *labels, 'd\u00e94+0001', 'd\u00e94+0002']
 
 
 class TestPlotCommand:
@@ -485,3 +517,62 @@ class TestReusedParser:
         for k, argv in enumerate(commands):
             _fresh_process([*argv, "--output-dir", f"fresh{k}"], tmp_path)
             assert _payloads(tmp_path / f"reused{k}") == _payloads(tmp_path / f"fresh{k}")
+
+
+# predictions.csv emission: one str.format pass, compared with csv.writer.
+_LABELS = st.text(alphabet=[",", '"', "\r", "\n", " ", "\u00e9", "\u6708", "a", "7", "-"],
+                  max_size=6)
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0]),
+    st.integers(min_value=-10**6, max_value=10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def prediction_tables(draw):
+    """(header, labels, columns) as evaluate, or forecast --horizon, writes them."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    labels = draw(st.lists(_LABELS, min_size=n, max_size=n))
+
+    def column():
+        return list(map(repr, draw(st.lists(_FLOATS, min_size=n, max_size=n))))
+
+    if draw(st.booleans()):
+        return ("period", "actual", "classical", "modified"), labels, [column() for _ in "abc"]
+    horizon = draw(st.integers(min_value=0, max_value=n))
+    actual = column()[:n - horizon] + [""] * horizon
+    return ("period", "actual", "predicted"), labels, [actual, column()]
+
+
+def _emit(header, labels, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.csv"
+        _write_predictions(path, header, labels, *columns)
+        return path.read_bytes().decode("utf-8")
+
+
+def _read_back(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@given(prediction_tables())
+def test_predictions_csv_bytes_match_csv_writer(table):
+    header, labels, columns = table
+    rows = [list(header), *map(list, zip(labels, *columns))]
+    text = _emit(header, labels, columns)
+    old = csv_writer_text(list(header), zip(labels, *columns))
+    assert _read_back(text) == rows
+    # The bytes are csv.writer's wherever its file read back as the table it was given.
+    assert text == old or _read_back(old) != rows
+
+
+def test_carriage_return_label_is_quoted():
+    # csv.writer with lineterminator "\n" leaves a bare CR unquoted, and a CSV
+    # reader then splits the row there; the label is quoted instead.
+    header, labels, columns = ("period", "actual", "predicted"), ["a\rb"], [["1.0"], ["2.0"]]
+    text = _emit(header, labels, columns)
+    assert text == 'period,actual,predicted\n"a\rb",1.0,2.0\n'
+    old = csv_writer_text(list(header), zip(labels, *columns))
+    assert old == "period,actual,predicted\na\rb,1.0,2.0\n"
+    assert _read_back(old) != _read_back(text) == [list(header), ["a\rb", "1.0", "2.0"]]

@@ -11,7 +11,6 @@ from basscast import (
     QuadraticCoefficients,
     ShapeError,
     SingularFitError,
-    SplitMix64,
     TimeSeries,
     UndefinedBaselineError,
     compare_models,
@@ -24,6 +23,7 @@ from basscast import (
     profile,
     sse,
 )
+from basscast.synthetic import SplitMix64
 from conftest import mono_peak_specs
 from oracles import sse_fsum, two_call_compare_models
 

@@ -7,14 +7,13 @@ from basscast import (
     NonDiffusionShapeError,
     QuadraticCoefficients,
     SingularFitError,
-    SplitMix64,
     TimeSeries,
     cumulative,
     derive_bass_parameters,
     fit_quadratic,
-    generate_bass_series,
     monthly_periods,
 )
+from basscast.synthetic import SplitMix64, generate_bass_series
 from oracles import normal_equations_fit, quadratic_sse
 
 

@@ -11,7 +11,6 @@ from basscast import (
     FormatError,
     IngestOptions,
     ParameterError,
-    SplitMix64,
     ValidationError,
     aggregate_transactions,
     parse_generic_csv,
@@ -21,6 +20,7 @@ from basscast import (
     TimeSeries,
     monthly_periods,
 )
+from basscast.synthetic import SplitMix64
 from oracles import compensated_sum, group_by_month, row_by_row_parse_generic_csv
 
 TRENDS_HEADER = "Category: All categories\n\nMonth,kingston ram ddr2: (Worldwide)\n"
@@ -303,6 +303,18 @@ class TestAggregateTransactions:
         with pytest.raises(ValidationError):
             aggregate_transactions([("2016-01-03", -1)])
 
+    def test_unparseable_count_names_row(self):
+        with pytest.raises(FormatError) as err:
+            aggregate_transactions([("2016-01-03", "abc")])
+        assert err.value.row == 1
+        assert str(err.value) == "row 1: unparseable count cell 'abc'"
+
+    def test_missing_count_names_row(self):
+        with pytest.raises(FormatError) as err:
+            aggregate_transactions([("2016-01-03", 1), ("2016-01-04", None)])
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: unparseable count cell None"
+
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             aggregate_transactions([])
@@ -380,6 +392,27 @@ class TestRowNumbers:
             parse(text)
         assert err.value.row == row
         assert str(err.value).startswith(f"row {row}: period ")
+
+    def test_missing_trends_header_names_no_row(self):
+        with pytest.raises(FormatError) as err:
+            parse_google_trends_csv("Category: x\n\n\n")
+        assert err.value.row is None
+        assert str(err.value) == "no 'Month' header row found"
+
+    _OVERSIZED = "1" * (csv.field_size_limit() + 1)
+
+    @pytest.mark.parametrize("parse,text,row", [
+        (parse_generic_csv, f"period,demand\n2020-01,1\n2020-02,{_OVERSIZED}\n", 3),
+        (parse_google_trends_csv, TRENDS_HEADER + f"2010-01,3\n\n2010-02,{_OVERSIZED}\n", 6),
+        (parse_transactions_csv, f"ts,count\n2020-01-01,{_OVERSIZED}\n", 2),
+    ], ids=["generic", "trends", "transactions"])
+    def test_oversized_cell_is_a_format_error_naming_its_line(self, parse, text, row):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert err.value.row == row
+        assert str(err.value) == (
+            f"row {row}: unreadable CSV: field larger than field limit "
+            f"({csv.field_size_limit()})")
 
 
 # Lines of hand-made files in each format: blank and whitespace lines, headers,
@@ -462,7 +495,10 @@ def test_every_error_names_the_physical_line_that_raised_it(case):
     fmt, lines = case
     parse = _FORMATS[fmt][0]
     exc = _error(parse, lines)
-    if exc is None or _at_end_of_file(exc):
+    if exc is None:
+        return
+    if _at_end_of_file(exc):
+        assert exc.row is None, exc
         return
     row = exc.row
     assert row is not None and 1 <= row <= len(lines), (exc, row)

@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 
 from basscast import (
     EmptyInputError,
-    SplitMix64,
     TimeSeries,
     ValidationError,
     cumulative,
     mean_demand,
     monthly_periods,
 )
+from basscast.synthetic import SplitMix64
 from oracles import compensated_sum, lagged_cumulative
 
 demand_lists = st.lists(

@@ -91,6 +91,19 @@ _VALUES = st.one_of(
 )
 
 
+def _old_polyline(xs, ys, color, dash, label):
+    """numpy_scalar_polyline on the chart's numeric x coordinates.
+
+    render_comparison_svg passes each curve its x coordinates already
+    formatted; this ignores them and scales 0..n-1 across the plot area itself.
+    """
+    n = len(xs)
+    left = float(svgplot._MARGIN_LEFT)
+    right = float(svgplot.VIEW_WIDTH - svgplot._MARGIN_RIGHT)
+    numeric = svgplot._scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), left, right)
+    return numpy_scalar_polyline(numeric, ys, color, dash, label)
+
+
 @given(st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=3, max_size=3)))
 def test_svg_bytes_match_numpy_scalar_formatting(curves):
@@ -99,8 +112,8 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves):
     small = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1])
     report = compare_models(small, fit_quadratic(small), profile(small))
     svg = render_comparison_svg(series, classical, modified, report)
-    with mock.patch.object(svgplot, "_polyline", numpy_scalar_polyline):
+    with mock.patch.object(svgplot, "_polyline", _old_polyline):
         assert svg == render_comparison_svg(series, classical, modified, report)
     xs, ys = np.array(classical), np.array(modified)
-    assert svgplot._polyline(xs, ys, "red", None, "c") == numpy_scalar_polyline(
-        xs, ys, "red", None, "c")
+    assert svgplot._polyline([f"{x:.3f}," for x in xs.tolist()], ys, "red", None, "c") == (
+        numpy_scalar_polyline(xs, ys, "red", None, "c"))

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import basscast
 from basscast import (
     DivergenceError,
     MonoPeakSpec,
     ParameterError,
     QuadraticCoefficients,
-    SplitMix64,
     detect_tail_start,
     fit_quadratic,
-    generate_bass_series,
     generate_mono_peak,
-    mono_peak_value,
     monthly_periods,
     parse_generic_csv,
     to_generic_csv,
 )
+from basscast.synthetic import SplitMix64, generate_bass_series, mono_peak_value
 
 
 class TestSplitMix64:
@@ -187,3 +186,31 @@ class TestGenerateMonoPeak:
         parsed = parse_generic_csv(to_generic_csv(series))
         assert parsed.periods == series.periods
         assert np.array_equal(parsed.demands, series.demands)
+
+
+# The package's public names. The seeded generator, the noiseless recursion
+# fixture and the mono-peak shape are test helpers, imported from
+# basscast.synthetic only.
+PUBLIC_NAMES = {
+    "BassParameters", "BasscastError", "DIVERGENCE_GUARD", "DegeneratePlotError",
+    "DivergenceError", "EmptyInputError", "EvaluationReport", "ForecastConfig",
+    "ForecastResult", "FormatError", "IngestOptions", "InsufficientDataError",
+    "ModelVariant", "MonoPeakSpec", "NoRealMarketSizeError", "NonDiffusionShapeError",
+    "ParameterError", "QuadraticCoefficients", "ShapeError", "SingularFitError",
+    "TailProfile", "TimeSeries", "UndefinedBaselineError", "ValidationError",
+    "aggregate_transactions", "compare_models", "compute_ratios", "cumulative",
+    "derive_bass_parameters", "detect_peak", "detect_tail_start", "fit_quadratic",
+    "forecast", "generate_mono_peak", "improvement_percent", "mae", "mape", "mean_demand",
+    "monthly_periods", "parse_generic_csv", "parse_google_trends_csv",
+    "parse_transactions_csv", "profile", "render_comparison_svg", "rmse", "sse",
+    "to_generic_csv",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(basscast.__all__) == len(PUBLIC_NAMES)
+    assert set(basscast.__all__) == PUBLIC_NAMES
+    assert all(hasattr(basscast, name) for name in PUBLIC_NAMES)
+    for helper in ("SplitMix64", "generate_bass_series", "mono_peak_value"):
+        assert not hasattr(basscast, helper)
+        assert callable(getattr(basscast.synthetic, helper))

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from basscast import (
     ParameterError,
-    SplitMix64,
     TimeSeries,
     compute_ratios,
     detect_peak,
@@ -13,6 +12,7 @@ from basscast import (
     monthly_periods,
     profile,
 )
+from basscast.synthetic import SplitMix64
 from oracles import scan_argmax, scan_tail_start
 
 
