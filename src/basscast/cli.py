@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import re
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import (
@@ -38,6 +36,7 @@ from .fitting import derive_bass_parameters, fit_quadratic
 from .forecast import ForecastConfig, ModelVariant, forecast
 from .ingest import (
     IngestOptions,
+    csv_text,
     parse_generic_csv,
     parse_google_trends_csv,
     parse_transactions_csv,
@@ -77,30 +76,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
-# A period label holding one of these is quoted in predictions.csv.
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _quoted(label: str) -> str:
-    return '"' + label.replace('"', '""') + '"' if _NEEDS_QUOTES.search(label) else label
-
-
-def _write_predictions(path: Path, header: tuple[str, ...], labels: Sequence[str],
-                       *columns: Iterable[str]) -> None:
-    """Write predictions.csv: the header, then one line of cells per period label.
-
-    The cells after the label are repr strings of floats or "", which never
-    need quoting, so the file is one C-level join of the cells. A label that
-    holds ',', '"', CR or LF is quoted in csv.writer's style (wrapped in '"',
-    inner '"' doubled), so the file reads back as written; one search over all
-    the labels decides whether any label does.
-    """
-    if _NEEDS_QUOTES.search("".join(labels)):
-        labels = list(map(_quoted, labels))
-    rows = itertools.chain((header,), zip(labels, *columns))
-    _write_text(path, "\n".join(map(",".join, rows)) + "\n")
 
 
 def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
@@ -171,8 +146,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     )
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     actuals = list(map(repr, series.demands.tolist())) + [""] * args.horizon
-    _write_predictions(out / "predictions.csv", ("period", "actual", "predicted"),
-                       labels, actuals, map(repr, result.predicted.tolist()))
+    predictions = csv_text(("period", "actual", "predicted"), labels, actuals,
+                           map(repr, result.predicted.tolist()))
+    _write_text(out / "predictions.csv", predictions)
     return EXIT_OK
 
 
@@ -199,14 +175,13 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
         _write_json(out / "report.json", report.to_dict())
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
-    _write_predictions(
-        out / "predictions.csv",
+    _write_text(out / "predictions.csv", csv_text(
         ("period", "actual", "classical", "modified"),
         series.periods,
         map(repr, series.demands.tolist()),
         map(repr, report.classical_predicted.tolist()),
         map(repr, report.modified_predicted.tolist()),
-    )
+    ))
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
@@ -240,33 +215,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = MonoPeakSpec(
-        n=args.n,
-        peak_time=args.peak_time,
-        peak_height=args.peak_height,
-        decay_rate=args.decay_rate,
-        plateau_level=args.plateau_level,
-        rise_shape=args.rise_shape,
-        noise_amplitude=args.noise_amplitude,
-        seed=args.seed,
-    )
+    spec = MonoPeakSpec(**{f.name: getattr(args, f.name) for f in fields(MonoPeakSpec)})
     series = generate_mono_peak(spec, start_period=args.start_period)
     output = Path(args.output)
     _write_text(output, to_generic_csv(series))
-    _write_json(
-        output.with_suffix(".spec.json"),
-        {
-            "n": spec.n,
-            "peak_time": spec.peak_time,
-            "peak_height": spec.peak_height,
-            "decay_rate": spec.decay_rate,
-            "plateau_level": spec.plateau_level,
-            "rise_shape": spec.rise_shape,
-            "noise_amplitude": spec.noise_amplitude,
-            "seed": spec.seed,
-            "start_period": args.start_period,
-        },
-    )
+    _write_json(output.with_suffix(".spec.json"),
+                {**asdict(spec), "start_period": args.start_period})
     return EXIT_OK
 
 

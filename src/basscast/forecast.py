@@ -6,6 +6,10 @@ simulated mode the recursion accumulates its own output from D(0) = 0 and
 produces a fully self-contained curve. Simulated mode is the default because
 it is the honest end-to-end test of the model shape.
 
+Each candidate curve is generated once, over the observed range only; the
+chosen one is then extended through the horizon by one more ``simulate``
+call that starts from the cumulative demand its curve ends on, in both modes.
+
 The modified variants add a constant correction to every prediction:
 +r1 * mean demand for the additive variant, -r2 * mean demand for the
 subtractive one, with r1/r2 taken from the tail profile.
@@ -88,16 +92,17 @@ def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> fl
 
 def simulate(
     a: float, b: float, c: float, correction: float, clamp: bool, running: float, periods: range
-) -> list[float]:
+) -> tuple[list[float], float]:
     """Demand of each period in ``periods`` under the recursion fed by its own output.
 
     Each value is ``a + b*D + c*D*D + correction`` at running cumulative demand
     D, starting from ``running``, floored at zero when ``clamp`` is set, and
     then added to D. Plain Python floats in this exact expression order keep
     the output bit-identical to a per-step numpy evaluation; a rearranged form
-    (Horner) changes the last digits. Raises DivergenceError naming the first
-    period whose value is not finite or whose running total passes
-    DIVERGENCE_GUARD.
+    (Horner) changes the last digits. Returns the values and D after the last
+    of them, so a later call started from that D continues the same curve.
+    Raises DivergenceError naming the first period whose value is not finite
+    or whose running total passes DIVERGENCE_GUARD.
     """
     out = []
     append = out.append
@@ -111,7 +116,7 @@ def simulate(
         # one comparison also catches overflow; NaN fails every comparison.
         if not abs(running) <= DIVERGENCE_GUARD:
             raise _divergence(value, t)
-    return out
+    return out, running
 
 
 def _divergence(value: float, period: int) -> DivergenceError:
@@ -128,19 +133,20 @@ def _generate(
     coeffs: QuadraticCoefficients,
     correction: float,
     mode: str,
-    horizon: int,
     clamp: bool,
     lagged: np.ndarray | None = None,
-) -> np.ndarray:
-    """One variant's curve over the observed range plus ``horizon`` periods.
+) -> tuple[np.ndarray, float]:
+    """One variant's curve over the observed range and the cumulative demand it ends on.
 
-    ``lagged`` is the series' lagged cumulative demand, for one-step mode;
-    it is computed here when the caller has not already done so.
+    That demand is the kernel's own running total in simulated mode and the
+    observed total in one-step mode. ``lagged`` is the series' lagged
+    cumulative demand, for one-step mode; it is computed here when the caller
+    has not already done so.
     """
-    n = len(series)
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     if mode != "one_step":
-        return np.array(simulate(a, b, c, correction, clamp, 0.0, range(1, n + horizon + 1)))
+        values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
+        return np.array(values), running
     if lagged is None:
         lagged = cumulative(series)
     # Element-wise float64 operations in the kernel's order give the kernel's bits.
@@ -152,12 +158,7 @@ def _generate(
     if not finite.all():
         first = int(finite.argmin())
         raise _divergence(float(fitted[first]), first + 1)
-    if horizon == 0:
-        return fitted
-    # Beyond the data the recursion has to feed on its own output.
-    running = float(lagged[-1]) + float(series.demands[-1])
-    beyond = simulate(a, b, c, correction, clamp, running, range(n + 1, n + horizon + 1))
-    return np.concatenate((fitted, beyond))
+    return fitted, float(lagged[-1]) + float(series.demands[-1])
 
 
 def _in_sample_sse(series: TimeSeries, predicted: np.ndarray) -> float:
@@ -181,29 +182,28 @@ def forecast(
     """
     mean = mean_demand(series)
     lagged = cumulative(series) if config.mode == "one_step" else None
-
-    def curve(variant: ModelVariant, horizon: int) -> np.ndarray:
-        predicted = _generate(series, coeffs, _correction_for(variant, tail, mean),
-                              config.mode, horizon, config.clamp_nonnegative, lagged)
-        predicted.flags.writeable = False
-        return predicted
-
-    n = len(series)
-    if config.variant is ModelVariant.AUTO:
-        curves = {variant: curve(variant, 0) for variant in _AUTO_CANDIDATES}
-    else:
-        # The one requested curve runs straight through the horizon.
-        curves = {config.variant: curve(config.variant, config.horizon)}
-    candidates = {v: c[:n] if len(c) > n else c for v, c in curves.items()}
+    clamp = config.clamp_nonnegative
+    variants = _AUTO_CANDIDATES if config.variant is ModelVariant.AUTO else (config.variant,)
+    generated = {v: _generate(series, coeffs, _correction_for(v, tail, mean), config.mode,
+                              clamp, lagged)
+                 for v in variants}
+    candidates = {v: curve for v, (curve, _) in generated.items()}
+    for curve in candidates.values():
+        curve.flags.writeable = False
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
     variant = min(candidates, key=lambda v: _in_sample_sse(series, candidates[v]))
-    predicted = curves[variant]
-    if len(predicted) < n + config.horizon:
-        # auto compared in-sample curves only; the winner is rerun through the horizon.
-        predicted = curve(variant, config.horizon)
+    correction = _correction_for(variant, tail, mean)
+    predicted, running = generated[variant]
+    if config.horizon:
+        # Beyond the data the winner's recursion feeds on its own output.
+        n = len(series)
+        beyond, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), correction,
+                             clamp, running, range(n + 1, n + config.horizon + 1))
+        predicted = np.concatenate((predicted, beyond))
+        predicted.flags.writeable = False
     return ForecastResult(
         predicted=predicted,
         variant_used=variant,
-        correction_term=_correction_for(variant, tail, mean),
+        correction_term=correction,
         candidates=MappingProxyType(candidates),
     )

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -279,11 +281,29 @@ def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> 
     return _monthly_series(buckets)
 
 
+# A label holding one of these is quoted when written.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(label: str) -> str:
+    return '"' + label.replace('"', '""') + '"' if _NEEDS_QUOTES.search(label) else label
+
+
+def csv_text(header: Sequence[str], labels: Sequence[str], *columns: Iterable[str]) -> str:
+    """CSV text: the header, then one line of cells per period label.
+
+    The cells after the label are repr strings of floats or "", which never
+    need quoting, so the text is one C-level join of the cells. A label that
+    holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped in '"',
+    inner '"' doubled), so the text reads back as written; one search over all
+    the labels decides whether any label does.
+    """
+    if _NEEDS_QUOTES.search("".join(labels)):
+        labels = list(map(_quoted, labels))
+    rows = itertools.chain((header,), zip(labels, *columns))
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
 def to_generic_csv(series: TimeSeries) -> str:
     """Serialise a series as generic CSV that parse_generic_csv round-trips."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["period", "demand"])
-    for label, value in zip(series.periods, series.demands):
-        writer.writerow([label, repr(float(value))])
-    return out.getvalue()
+    return csv_text(("period", "demand"), series.periods, map(repr, series.demands.tolist()))

@@ -53,8 +53,8 @@ def generate_bass_series(
     if n < 1:
         raise ParameterError(f"series length must be >= 1, got {n}")
     # Adding -0.0 leaves every value, signed zeros included, exactly as it was.
-    demands = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), -0.0, False, 0.0,
-                       range(1, n + 1))
+    demands, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), -0.0, False, 0.0,
+                          range(1, n + 1))
     return TimeSeries(monthly_periods(n, start_period), demands, unit=unit)
 
 

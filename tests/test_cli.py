@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from basscast import (
     ParameterError,
     ShapeError,
     SingularFitError,
+    TimeSeries,
     UndefinedBaselineError,
     ValidationError,
     errors,
@@ -31,7 +31,8 @@ from basscast import (
     to_generic_csv,
 )
 from basscast.synthetic import generate_bass_series
-from basscast.cli import _exit_code_for, _write_predictions, build_parser, main
+from basscast.cli import _exit_code_for, build_parser, main
+from basscast.ingest import csv_text
 from conftest import EXACT_COEFFS
 from oracles import csv_writer_text
 
@@ -519,7 +520,7 @@ class TestReusedParser:
             assert _payloads(tmp_path / f"reused{k}") == _payloads(tmp_path / f"fresh{k}")
 
 
-# predictions.csv emission: one str.format pass, compared with csv.writer.
+# predictions.csv and generic CSV emission: one join over the cells, compared with csv.writer.
 _LABELS = st.text(alphabet=[",", '"', "\r", "\n", " ", "\u00e9", "\u6708", "a", "7", "-"],
                   max_size=6)
 _FLOATS = st.one_of(
@@ -545,13 +546,6 @@ def prediction_tables(draw):
     return ("period", "actual", "predicted"), labels, [actual, column()]
 
 
-def _emit(header, labels, columns):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "predictions.csv"
-        _write_predictions(path, header, labels, *columns)
-        return path.read_bytes().decode("utf-8")
-
-
 def _read_back(text):
     return list(csv.reader(io.StringIO(text, newline="")))
 
@@ -560,10 +554,21 @@ def _read_back(text):
 def test_predictions_csv_bytes_match_csv_writer(table):
     header, labels, columns = table
     rows = [list(header), *map(list, zip(labels, *columns))]
-    text = _emit(header, labels, columns)
+    text = csv_text(header, labels, *columns)
     old = csv_writer_text(list(header), zip(labels, *columns))
     assert _read_back(text) == rows
     # The bytes are csv.writer's wherever its file read back as the table it was given.
+    assert text == old or _read_back(old) != rows
+
+
+@given(st.lists(_LABELS, min_size=1, max_size=12, unique=True), st.data())
+def test_generic_csv_bytes_match_csv_writer(labels, data):
+    labels = sorted(labels)
+    values = data.draw(st.lists(_FLOATS, min_size=len(labels), max_size=len(labels)))
+    rows = [["period", "demand"], *([label, repr(value)] for label, value in zip(labels, values))]
+    text = to_generic_csv(TimeSeries(labels, values))
+    old = csv_writer_text(rows[0], rows[1:])
+    assert _read_back(text) == rows
     assert text == old or _read_back(old) != rows
 
 
@@ -571,7 +576,7 @@ def test_carriage_return_label_is_quoted():
     # csv.writer with lineterminator "\n" leaves a bare CR unquoted, and a CSV
     # reader then splits the row there; the label is quoted instead.
     header, labels, columns = ("period", "actual", "predicted"), ["a\rb"], [["1.0"], ["2.0"]]
-    text = _emit(header, labels, columns)
+    text = csv_text(header, labels, *columns)
     assert text == 'period,actual,predicted\n"a\rb",1.0,2.0\n'
     old = csv_writer_text(list(header), zip(labels, *columns))
     assert old == "period,actual,predicted\na\rb,1.0,2.0\n"

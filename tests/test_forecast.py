@@ -21,7 +21,7 @@ from basscast import (
     profile,
     sse,
 )
-from basscast.forecast import _generate
+from basscast.forecast import _generate, simulate
 from conftest import mono_peak_specs
 from oracles import per_step_generate
 
@@ -197,7 +197,7 @@ class TestAutoSelection:
 
     @pytest.mark.parametrize("variant,horizon,curves", [
         (ModelVariant.AUTO, 0, 3),
-        (ModelVariant.AUTO, 12, 4),                 # the winner is rerun through the horizon
+        (ModelVariant.AUTO, 12, 3),                 # the winner is extended, not rerun
         (ModelVariant.MODIFIED_SUBTRACT, 0, 1),
         (ModelVariant.MODIFIED_SUBTRACT, 12, 1),
     ])
@@ -241,6 +241,25 @@ def outcome(generate, *args):
         return exc.period, str(exc)
 
 
+def forecast_curve(series, coeffs, tail, variant, mode, horizon, clamp):
+    config = ForecastConfig(mode=mode, horizon=horizon, clamp_nonnegative=clamp, variant=variant)
+    return forecast(series, coeffs, tail, config).predicted
+
+
+def simulated(a, b, c, correction, clamp, running, periods):
+    """simulate's values as bytes and final running total as hex, or the period it diverged at."""
+    try:
+        values, running = simulate(a, b, c, correction, clamp, running, periods)
+    except DivergenceError as exc:
+        return exc.period
+    return np.array(values, dtype=float).tobytes(), running.hex()
+
+
+# Finite moderate coefficients keep most runs alive; the extremes exercise the guard.
+kernel_floats = st.one_of(st.floats(min_value=-10, max_value=10),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
 class TestKernelMatchesPerStepReference:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -257,9 +276,12 @@ class TestKernelMatchesPerStepReference:
             assume(False)
         tail = profile(series)
         mean = mean_demand(series)
-        for correction in (0.0, tail.r1 * mean, -(tail.r2 * mean)):
-            args = (series, coeffs, correction, mode, horizon, clamp)
-            assert outcome(_generate, *args) == outcome(per_step_generate, *args)
+        corrections = {ModelVariant.CLASSICAL: 0.0, ModelVariant.MODIFIED_ADD: tail.r1 * mean,
+                       ModelVariant.MODIFIED_SUBTRACT: -(tail.r2 * mean)}
+        for variant, correction in corrections.items():
+            curve = outcome(forecast_curve, series, coeffs, tail, variant, mode, horizon, clamp)
+            assert curve == outcome(per_step_generate, series, coeffs, correction, mode,
+                                    horizon, clamp)
 
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
     @pytest.mark.parametrize("clamp", [False, True])
@@ -272,19 +294,45 @@ class TestKernelMatchesPerStepReference:
         (float("nan"), 0.0, 0.0, 0.0),     # NaN from the first period on
         (-0.0, -1.0, -1.0, 0.0),           # signed zeros
     ])
-    def test_pathological_coefficients(self, mode, clamp, horizon, a, b, c, correction):
+    def test_pathological_coefficients(self, monkeypatch, mode, clamp, horizon,
+                                       a, b, c, correction):
         series = make([10, 80, 400, 2000])
         coeffs = QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0, n_obs=4)
-        args = (series, coeffs, correction, mode, horizon, clamp)
-        assert outcome(_generate, *args) == outcome(per_step_generate, *args)
+        # The correction goes in exactly as given, not as a ratio of the mean.
+        monkeypatch.setattr(forecast_module, "_correction_for", lambda *_: correction)
+        curve = outcome(forecast_curve, series, coeffs, profile(series),
+                        ModelVariant.CLASSICAL, mode, horizon, clamp)
+        assert curve == outcome(per_step_generate, series, coeffs, correction, mode,
+                                horizon, clamp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=kernel_floats, b=kernel_floats, c=kernel_floats, correction=kernel_floats,
+           clamp=st.booleans(), n=st.integers(min_value=0, max_value=30),
+           horizon=st.integers(min_value=0, max_value=30))
+    def test_continuing_from_the_running_total_is_one_run(self, a, b, c, correction, clamp,
+                                                         n, horizon):
+        whole = simulated(a, b, c, correction, clamp, 0.0, range(1, n + horizon + 1))
+        head = simulated(a, b, c, correction, clamp, 0.0, range(1, n + 1))
+        if isinstance(head, int):
+            assert whole == head
+            return
+        values, running = head
+        tail = simulated(a, b, c, correction, clamp, float.fromhex(running),
+                         range(n + 1, n + horizon + 1))
+        if isinstance(tail, int):
+            assert whole == tail
+        else:
+            assert whole == (values + tail[0], tail[1])
 
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
-    def test_auto_returns_the_winning_candidate_curve(self, mode):
+    @pytest.mark.parametrize("horizon", [0, 12])
+    def test_auto_returns_the_winning_candidate_curve(self, mode, horizon):
         series = generate_mono_peak(MonoPeakSpec(seed=3))
         coeffs = fit_quadratic(series)
         tail = profile(series)
-        auto = forecast(series, coeffs, tail, ForecastConfig(mode=mode))
+        auto = forecast(series, coeffs, tail, ForecastConfig(mode=mode, horizon=horizon))
         direct = forecast(series, coeffs, tail,
-                          ForecastConfig(mode=mode, variant=auto.variant_used))
+                          ForecastConfig(mode=mode, horizon=horizon, variant=auto.variant_used))
+        assert len(auto.predicted) == len(series) + horizon
         assert auto.predicted.tobytes() == direct.predicted.tobytes()
         assert not auto.predicted.flags.writeable

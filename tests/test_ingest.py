@@ -522,10 +522,12 @@ class TestGenericCsvRoundTrip:
         series = TimeSeries(monthly_periods(3), [1.0, 2.0, 3.0])
         assert to_generic_csv(series) == to_generic_csv(series)
 
-    # labels may contain the CSV metacharacters; quoting must round-trip them
+    # labels may contain the CSV metacharacters, line breaks included, away from
+    # their ends (the parser strips those); quoting must round-trip them
     @given(
         st.lists(
-            st.text(alphabet='ab,"x-7.', min_size=1, max_size=12),
+            st.text(alphabet='ab,"x-7.\r\n', min_size=1, max_size=12).filter(
+                lambda label: label == label.strip()),
             min_size=1,
             max_size=20,
             unique=True,
