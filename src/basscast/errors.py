@@ -83,7 +83,7 @@ class ShapeError(BasscastError):
 
 
 class UndefinedBaselineError(BasscastError):
-    """Improvement percentage is undefined for a non-positive baseline SSE."""
+    """Improvement percentage is undefined for a non-positive or non-finite baseline SSE."""
 
     exit_code = 3
 

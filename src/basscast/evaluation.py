@@ -63,8 +63,12 @@ def sse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> flo
 
 
 def improvement_percent(sse_classical: float, sse_modified: float) -> float:
-    """Relative SSE reduction of the modified model, in percent of the classical SSE."""
-    if sse_classical <= 0.0:
+    """Relative SSE reduction of the modified model, in percent of the classical SSE.
+
+    The baseline must be positive and finite: an SSE that overflowed float64
+    is inf, and inf - inf or x / inf would give NaN, which report.json cannot hold.
+    """
+    if not 0.0 < sse_classical < math.inf:
         raise UndefinedBaselineError(
             f"improvement is undefined for baseline SSE {sse_classical}"
         )
@@ -119,20 +123,20 @@ def compare_models(
     Comparison covers the observed range only. With the default auto variant
     classical is in the candidate set, so the improvement can never be
     negative; forcing a specific modified variant can make it negative when
-    the correction hurts.
+    the correction hurts. A classical SSE that overflows float64 raises
+    UndefinedBaselineError, as improvement_percent does.
     """
     config = ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative)
     classical = None
     if config.variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
         # Classical runs first, as in auto, so its divergence is the one raised.
-        classical = forecast(
-            series, coeffs, tail, replace(config, variant=ModelVariant.CLASSICAL)
-        ).predicted
+        classical = forecast(series, coeffs, tail, replace(config, variant=ModelVariant.CLASSICAL))
     modified = forecast(series, coeffs, tail, config)
     if classical is None:
-        classical = modified.candidates[ModelVariant.CLASSICAL]
-    sse_classical = sse(series, classical)
-    sse_modified = sse(series, modified.predicted)
+        classical = modified
+    # forecast already computed each curve's SSE to choose among its candidates.
+    sse_classical = classical.candidate_sse[ModelVariant.CLASSICAL]
+    sse_modified = modified.candidate_sse[modified.variant_used]
     improvement = (
         0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
     )
@@ -144,10 +148,10 @@ def compare_models(
         improvement_percent=improvement,
         mode=mode,
         tail_profile=tail,
-        rmse=rmse(series, modified.predicted),
+        rmse=math.sqrt(sse_modified / len(series)),
         mae=mae(series, modified.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
-        classical_predicted=classical,
+        classical_predicted=classical.candidates[ModelVariant.CLASSICAL],
         modified_predicted=modified.predicted,
     )

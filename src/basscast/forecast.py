@@ -72,12 +72,15 @@ class ForecastResult:
 
     ``candidates`` maps each variant this call generated to its read-only
     in-sample curve: all three for ``auto``, else only the requested one.
+    ``candidate_sse`` maps the same variants to the in-sample SSE of that
+    curve, ``inf`` where the squared residuals overflow float64.
     """
 
     predicted: np.ndarray = field(repr=False)
     variant_used: ModelVariant
     correction_term: float
     candidates: Mapping[ModelVariant, np.ndarray] = field(repr=False)
+    candidate_sse: Mapping[ModelVariant, float]
 
 
 def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> float:
@@ -162,8 +165,10 @@ def _generate(
 
 
 def _in_sample_sse(series: TimeSeries, predicted: np.ndarray) -> float:
-    resid = series.demands - predicted
-    return float(resid @ resid)
+    """SSE of a finite curve against the data; residuals that square past float64 give inf."""
+    with np.errstate(over="ignore"):
+        resid = series.demands - predicted
+        return float(resid @ resid)
 
 
 def forecast(
@@ -190,8 +195,9 @@ def forecast(
     candidates = {v: curve for v, (curve, _) in generated.items()}
     for curve in candidates.values():
         curve.flags.writeable = False
+    candidate_sse = {v: _in_sample_sse(series, curve) for v, curve in candidates.items()}
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
-    variant = min(candidates, key=lambda v: _in_sample_sse(series, candidates[v]))
+    variant = min(candidate_sse, key=candidate_sse.__getitem__)
     correction = _correction_for(variant, tail, mean)
     predicted, running = generated[variant]
     if config.horizon:
@@ -206,4 +212,5 @@ def forecast(
         variant_used=variant,
         correction_term=correction,
         candidates=MappingProxyType(candidates),
+        candidate_sse=MappingProxyType(candidate_sse),
     )

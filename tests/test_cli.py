@@ -146,6 +146,12 @@ class TestEvaluateCommand:
         assert values[1] == pytest.approx(79.3, abs=0.05)
         assert values[2] == pytest.approx(40.25, abs=0.01)
 
+    def test_sse_pair_with_infinite_baseline_exits_3(self, capsys):
+        assert main(["evaluate", "--sse-pair", "inf", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "baseline SSE inf" in captured.err
+
     def test_mode_both_reports_twice(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
         code = main(["evaluate", str(csv_path), "--mode", "both",
@@ -581,3 +587,27 @@ def test_carriage_return_label_is_quoted():
     old = csv_writer_text(list(header), zip(labels, *columns))
     assert old == "period,actual,predicted\na\rb,1.0,2.0\n"
     assert _read_back(old) != _read_back(text) == [list(header), ["a\rb", "1.0", "2.0"]]
+
+
+# Loaded by xml.sax.saxutils (through urllib.request) and never used by basscast.
+_NETWORK_AND_MAIL = ("ssl", "_ssl", "socket", "http.client", "email", "urllib.request", "xml.sax")
+
+
+def test_cli_import_loads_no_network_or_mail_modules(tmp_path):
+    """Importing the CLI and building its parser adds none of those modules to a process."""
+    code = (
+        "import sys\n"
+        "import numpy, argparse, json, csv\n"
+        "baseline = set(sys.modules)\n"
+        "import basscast.cli\n"
+        "basscast.cli.build_parser()\n"
+        "print('\\n'.join(sorted(set(sys.modules) - baseline)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "basscast.svgplot" in added
+    assert added.isdisjoint(_NETWORK_AND_MAIL), sorted(added & set(_NETWORK_AND_MAIL))

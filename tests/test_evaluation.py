@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -83,6 +84,12 @@ class TestImprovementPercent:
         with pytest.raises(UndefinedBaselineError):
             improvement_percent(baseline, 1.0)
 
+    @pytest.mark.parametrize("baseline", [math.inf, math.nan])
+    def test_non_finite_baseline_rejected(self, baseline):
+        # inf - x over inf is NaN, which report.json cannot write.
+        with pytest.raises(UndefinedBaselineError):
+            improvement_percent(baseline, 1.0)
+
 
 class TestMape:
     def test_skips_zero_periods(self):
@@ -152,6 +159,14 @@ class TestCompareModels:
         assert report.improvement_percent < 0.0
         assert report.sse_modified > report.sse_classical
 
+    @pytest.mark.parametrize("variant", [ModelVariant.AUTO, ModelVariant.MODIFIED_ADD])
+    def test_overflowing_sse_raises_undefined_baseline(self, variant):
+        # Every curve is finite, but squaring its ~1e200 residuals overflows to an inf SSE.
+        series = make([10, 80, 400, 2000])
+        coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
+        with pytest.raises(UndefinedBaselineError, match="baseline SSE inf"):
+            compare_models(series, coeffs, profile(series), mode="one_step", variant=variant)
+
     def test_report_regeneration_is_identical(self, mono_peak_series):
         coeffs = fit_quadratic(mono_peak_series)
         tail = profile(mono_peak_series)
@@ -216,6 +231,8 @@ class TestOneForecastPassMatchesTwoCallReference:
             assume(False)
         tail = profile(series)
         args = (series, coeffs, tail, mode, variant, clamp)
+        # compare_models takes its SSEs from forecast's candidate_sse and its rmse
+        # from sse_modified; the reference recomputes them with sse() and rmse().
         assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
         try:
             result = forecast(series, coeffs, tail, ForecastConfig(

@@ -223,6 +223,30 @@ class TestAutoSelection:
         with pytest.raises(TypeError):
             result.candidates[ModelVariant.AUTO] = winner
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_candidate_sse_is_each_candidates_sse(self, mono_peak_series, variant):
+        coeffs = fit_quadratic(mono_peak_series)
+        result = forecast(mono_peak_series, coeffs, profile(mono_peak_series),
+                          ForecastConfig(variant=variant))
+        assert tuple(result.candidate_sse) == tuple(result.candidates)
+        for v, curve in result.candidates.items():
+            assert result.candidate_sse[v] == sse(mono_peak_series, curve)
+        assert result.candidate_sse[result.variant_used] == min(result.candidate_sse.values())
+        with pytest.raises(TypeError):
+            result.candidate_sse[ModelVariant.AUTO] = 0.0
+
+    def test_overflowing_sse_is_inf_and_ties_keep_candidate_order(self):
+        # Every candidate is finite, but squaring its ~1e200 residuals overflows.
+        series = make([10, 80, 400, 2000])
+        coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
+        result = forecast(series, coeffs, profile(series), ForecastConfig(mode="one_step"))
+        assert dict(result.candidate_sse) == {
+            ModelVariant.CLASSICAL: float("inf"),
+            ModelVariant.MODIFIED_ADD: float("inf"),
+            ModelVariant.MODIFIED_SUBTRACT: float("inf"),
+        }
+        assert result.variant_used is ModelVariant.CLASSICAL
+
     def test_tie_breaks_to_classical(self, noiseless_series, exact_coeffs):
         # tail_per = 0.5 zeroes r1, so the additive variant ties classical exactly
         series = make([1, 2, 10, 6, 6, 4, 4, 4, 4, 4])

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 from unittest import mock
 
 import numpy as np
@@ -117,3 +118,8 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves):
     xs, ys = np.array(classical), np.array(modified)
     assert svgplot._polyline([f"{x:.3f}," for x in xs.tolist()], ys, "red", None, "c") == (
         numpy_scalar_polyline(xs, ys, "red", None, "c"))
+
+
+@given(st.text(st.sampled_from("&<>\"';#a") | st.characters()))
+def test_escape_matches_sax_escape(text):
+    assert svgplot._escape(text) == escape(text)
