@@ -185,10 +185,7 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
-    svg = render_comparison_svg(
-        series, report.classical_predicted, report.modified_predicted, report
-    )
-    _write_text(out / "compare.svg", svg)
+    _write_text(out / "compare.svg", render_comparison_svg(series, report))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -135,8 +135,9 @@ def compare_models(
     if classical is None:
         classical = modified
     # forecast already computed each curve's SSE to choose among its candidates.
-    sse_classical = classical.candidate_sse[ModelVariant.CLASSICAL]
-    sse_modified = modified.candidate_sse[modified.variant_used]
+    baseline = classical.candidates[ModelVariant.CLASSICAL]
+    sse_classical = baseline.sse
+    sse_modified = modified.candidates[modified.variant_used].sse
     improvement = (
         0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
     )
@@ -152,6 +153,6 @@ def compare_models(
         mae=mae(series, modified.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
-        classical_predicted=classical.candidates[ModelVariant.CLASSICAL],
+        classical_predicted=baseline.curve,
         modified_predicted=modified.predicted,
     )

@@ -67,20 +67,36 @@ class ForecastConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastResult:
-    """Predicted demand sequence, the variant that produced it, and the curves it chose from.
+class Candidate:
+    """One variant's read-only in-sample curve, with what selection and the horizon need of it.
 
-    ``candidates`` maps each variant this call generated to its read-only
-    in-sample curve: all three for ``auto``, else only the requested one.
-    ``candidate_sse`` maps the same variants to the in-sample SSE of that
-    curve, ``inf`` where the squared residuals overflow float64.
+    ``sse`` is the curve's in-sample SSE, ``inf`` where the squared residuals
+    overflow float64. ``running`` is the cumulative demand the curve ends on:
+    the kernel's own running total in simulated mode, the observed total in
+    one-step mode. The horizon continues from it with ``correction``.
+    """
+
+    curve: np.ndarray = field(repr=False)
+    sse: float
+    correction: float
+    running: float
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastResult:
+    """Predicted demand sequence, the variant that produced it, and the candidates it chose from.
+
+    ``candidates`` maps each variant this call generated to its record: all
+    three for ``auto``, else only the requested one.
     """
 
     predicted: np.ndarray = field(repr=False)
     variant_used: ModelVariant
-    correction_term: float
-    candidates: Mapping[ModelVariant, np.ndarray] = field(repr=False)
-    candidate_sse: Mapping[ModelVariant, float]
+    candidates: Mapping[ModelVariant, Candidate]
+
+    @property
+    def correction_term(self) -> float:
+        return self.candidates[self.variant_used].correction
 
 
 def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> float:
@@ -131,44 +147,40 @@ def _divergence(value: float, period: int) -> DivergenceError:
     )
 
 
-def _generate(
+def _candidate(
     series: TimeSeries,
     coeffs: QuadraticCoefficients,
     correction: float,
     mode: str,
     clamp: bool,
-    lagged: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """One variant's curve over the observed range and the cumulative demand it ends on.
+    lagged: np.ndarray | None,
+) -> Candidate:
+    """One variant's record, its curve generated over the observed range only.
 
-    That demand is the kernel's own running total in simulated mode and the
-    observed total in one-step mode. ``lagged`` is the series' lagged
-    cumulative demand, for one-step mode; it is computed here when the caller
-    has not already done so.
+    ``lagged`` is the series' lagged cumulative demand in one-step mode and
+    None in simulated mode.
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    if mode != "one_step":
+    if mode == "one_step":
+        # Element-wise float64 operations in the kernel's order give the kernel's bits.
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve = a + b * lagged + c * lagged * lagged + correction
+        if clamp:
+            curve = np.where(curve < 0.0, 0.0, curve)
+        finite = np.isfinite(curve)
+        if not finite.all():
+            first = int(finite.argmin())
+            raise _divergence(float(curve[first]), first + 1)
+        running = float(lagged[-1]) + float(series.demands[-1])
+    else:
         values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
-        return np.array(values), running
-    if lagged is None:
-        lagged = cumulative(series)
-    # Element-wise float64 operations in the kernel's order give the kernel's bits.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fitted = a + b * lagged + c * lagged * lagged + correction
-    if clamp:
-        fitted = np.where(fitted < 0.0, 0.0, fitted)
-    finite = np.isfinite(fitted)
-    if not finite.all():
-        first = int(finite.argmin())
-        raise _divergence(float(fitted[first]), first + 1)
-    return fitted, float(lagged[-1]) + float(series.demands[-1])
-
-
-def _in_sample_sse(series: TimeSeries, predicted: np.ndarray) -> float:
-    """SSE of a finite curve against the data; residuals that square past float64 give inf."""
+        curve = np.array(values)
+    curve.flags.writeable = False
+    # A finite curve's residuals can still square past float64: that SSE is inf.
     with np.errstate(over="ignore"):
-        resid = series.demands - predicted
-        return float(resid @ resid)
+        resid = series.demands - curve
+        sse = float(resid @ resid)
+    return Candidate(curve, sse, correction, running)
 
 
 def forecast(
@@ -189,28 +201,18 @@ def forecast(
     lagged = cumulative(series) if config.mode == "one_step" else None
     clamp = config.clamp_nonnegative
     variants = _AUTO_CANDIDATES if config.variant is ModelVariant.AUTO else (config.variant,)
-    generated = {v: _generate(series, coeffs, _correction_for(v, tail, mean), config.mode,
-                              clamp, lagged)
-                 for v in variants}
-    candidates = {v: curve for v, (curve, _) in generated.items()}
-    for curve in candidates.values():
-        curve.flags.writeable = False
-    candidate_sse = {v: _in_sample_sse(series, curve) for v, curve in candidates.items()}
+    candidates = {v: _candidate(series, coeffs, _correction_for(v, tail, mean), config.mode,
+                                clamp, lagged)
+                  for v in variants}
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
-    variant = min(candidate_sse, key=candidate_sse.__getitem__)
-    correction = _correction_for(variant, tail, mean)
-    predicted, running = generated[variant]
+    variant = min(candidates, key=lambda v: candidates[v].sse)
+    winner = candidates[variant]
+    predicted = winner.curve
     if config.horizon:
         # Beyond the data the winner's recursion feeds on its own output.
         n = len(series)
-        beyond, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), correction,
-                             clamp, running, range(n + 1, n + config.horizon + 1))
+        beyond, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), winner.correction,
+                             clamp, winner.running, range(n + 1, n + config.horizon + 1))
         predicted = np.concatenate((predicted, beyond))
         predicted.flags.writeable = False
-    return ForecastResult(
-        predicted=predicted,
-        variant_used=variant,
-        correction_term=correction,
-        candidates=MappingProxyType(candidates),
-        candidate_sse=MappingProxyType(candidate_sse),
-    )
+    return ForecastResult(predicted, variant, MappingProxyType(candidates))

@@ -10,6 +10,7 @@ Three formats are supported:
 * Transaction logs with (ISO-8601 timestamp, count) columns, aggregated to a
   monthly series; months without transactions inside the observed span are
   emitted with demand 0 so cumulative demand stays defined over real time.
+  The span may not pass MAX_TRANSACTION_MONTHS.
 
 Row numbers in error messages, and in the errors' ``row`` attribute, are
 1-based and count every physical line, header, metadata and blank lines
@@ -31,6 +32,10 @@ from .errors import EmptyInputError, FormatError, ParameterError, ValidationErro
 from .series import _MONTH_RE, TimeSeries, monthly_periods
 
 LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
+
+# A transactions log may span at most this many months, zero-filled ones included,
+# so a mistyped year fails instead of padding centuries of zero months.
+MAX_TRANSACTION_MONTHS = 1200
 
 
 @dataclass(frozen=True)
@@ -233,9 +238,12 @@ def _add_transaction(buckets: dict[str, float], stamp: str, count: float, row_nu
 
 
 def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
-    """The month totals as a series, with months that have no transactions set to 0."""
+    """The month totals as a series, months with no transactions set to 0; a long span raises."""
     first, last = min(buckets), max(buckets)
     months = 12 * (int(last[:4]) - int(first[:4])) + int(last[5:]) - int(first[5:]) + 1
+    if months > MAX_TRANSACTION_MONTHS:
+        raise ValidationError(f"transactions span {months} months, {first} to {last}; "
+                              f"at most {MAX_TRANSACTION_MONTHS} are allowed")
     periods = monthly_periods(months, first)
     demands = [buckets.get(label, 0.0) for label in periods]
     return TimeSeries(periods, demands, unit="transactions/month")

@@ -7,7 +7,6 @@ version control.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
 
 import numpy as np
 
@@ -55,17 +54,12 @@ def _polyline(xs: list[str], ys: np.ndarray, color: str, dash: str | None, label
     )
 
 
-def render_comparison_svg(
-    series: TimeSeries,
-    classical: Sequence[float],
-    modified: Sequence[float],
-    report: EvaluationReport,
-) -> str:
-    """Render actual, classical and modified curves into a 960x540 SVG document.
+def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
+    """Render the actual curve and the report's two predictions into a 960x540 SVG document.
 
-    The three curves are drawn as polylines (solid, dashed, dash-dot) over the
-    observed range with linear min-max scaling, a legend, axis labels and a
-    caption carrying the SSE and improvement figures.
+    The actual, classical and modified curves are drawn as polylines (solid,
+    dashed, dash-dot) over the observed range with linear min-max scaling, a
+    legend, axis labels and a caption carrying the SSE and improvement figures.
     """
     n = len(series)
     if n < 2:
@@ -74,8 +68,8 @@ def render_comparison_svg(
             "curves - provide more data"
         )
     actual = series.demands
-    classical = np.asarray(classical, dtype=np.float64)[:n]
-    modified = np.asarray(modified, dtype=np.float64)[:n]
+    classical = report.classical_predicted
+    modified = report.modified_predicted
 
     x0, x1 = float(_MARGIN_LEFT), float(VIEW_WIDTH - _MARGIN_RIGHT)
     y0, y1 = float(VIEW_HEIGHT - _MARGIN_BOTTOM), float(_MARGIN_TOP)

@@ -1,12 +1,10 @@
-"""Seeded generators for test fixtures: exact recursion series and mono-peak curves."""
+"""Seeded mono-peak fixture curves and the portable generator that makes their noise."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
 
 from .errors import ParameterError
-from .fitting import QuadraticCoefficients
-from .forecast import simulate
 from .series import DEFAULT_START_PERIOD, TimeSeries, monthly_periods
 
 
@@ -37,25 +35,6 @@ class SplitMix64:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
-
-
-def generate_bass_series(
-    coeffs: QuadraticCoefficients,
-    n: int,
-    start_period: str = DEFAULT_START_PERIOD,
-    unit: str = "synthetic",
-) -> TimeSeries:
-    """Forward-simulate the recursion d(t) = a + b*D(t-1) + c*D(t-1)**2 for n periods.
-
-    D accumulates the generated demands themselves, so refitting the output
-    recovers the coefficients exactly up to float rounding. Deterministic.
-    """
-    if n < 1:
-        raise ParameterError(f"series length must be >= 1, got {n}")
-    # Adding -0.0 leaves every value, signed zeros included, exactly as it was.
-    demands, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), -0.0, False, 0.0,
-                          range(1, n + 1))
-    return TimeSeries(monthly_periods(n, start_period), demands, unit=unit)
 
 
 @dataclass(frozen=True)

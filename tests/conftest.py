@@ -1,11 +1,38 @@
 import pytest
 from hypothesis import strategies as st
 
-from basscast import MonoPeakSpec, QuadraticCoefficients, generate_mono_peak
-from basscast.synthetic import generate_bass_series
+from basscast import (
+    MonoPeakSpec,
+    ParameterError,
+    QuadraticCoefficients,
+    TimeSeries,
+    generate_mono_peak,
+    monthly_periods,
+)
+from basscast.forecast import simulate
+from basscast.series import DEFAULT_START_PERIOD
 
 # Coefficients of the noiseless recursion fixture used across modules.
 EXACT_COEFFS = QuadraticCoefficients(a=10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=0)
+
+
+def generate_bass_series(
+    coeffs: QuadraticCoefficients,
+    n: int,
+    start_period: str = DEFAULT_START_PERIOD,
+    unit: str = "synthetic",
+) -> TimeSeries:
+    """Forward-simulate the recursion d(t) = a + b*D(t-1) + c*D(t-1)**2 for n periods.
+
+    D accumulates the generated demands themselves, so refitting the output
+    recovers the coefficients exactly up to float rounding. Deterministic.
+    """
+    if n < 1:
+        raise ParameterError(f"series length must be >= 1, got {n}")
+    # Adding -0.0 leaves every value, signed zeros included, exactly as it was.
+    demands, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), -0.0, False, 0.0,
+                          range(1, n + 1))
+    return TimeSeries(monthly_periods(n, start_period), demands, unit=unit)
 
 
 @pytest.fixture

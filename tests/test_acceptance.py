@@ -30,8 +30,9 @@ from basscast import (
     parse_google_trends_csv,
     IngestOptions,
 )
-from basscast.synthetic import SplitMix64, generate_bass_series
+from basscast.synthetic import SplitMix64
 from basscast.cli import main
+from conftest import generate_bass_series
 from oracles import group_by_month, normal_equations_fit, scan_tail_start
 
 

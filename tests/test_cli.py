@@ -30,10 +30,9 @@ from basscast import (
     generate_mono_peak,
     to_generic_csv,
 )
-from basscast.synthetic import generate_bass_series
 from basscast.cli import _exit_code_for, build_parser, main
 from basscast.ingest import csv_text
-from conftest import EXACT_COEFFS
+from conftest import EXACT_COEFFS, generate_bass_series
 from oracles import csv_writer_text
 
 
@@ -340,6 +339,16 @@ class TestTrendsAndTransactionsFormats:
         csv_path.write_text(rows, encoding="utf-8")
         assert main(["fit", str(csv_path), "--format", "transactions",
                      "--output-dir", str(tmp_path)]) == 0
+
+    def test_transactions_span_past_the_month_limit_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "tx.csv"
+        csv_path.write_text("ts,count\n0201-01-01,1\n2021-01-01,5\n", encoding="utf-8")
+        assert main(["evaluate", str(csv_path), "--format", "transactions",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: transactions span 21841 months, 0201-01 to 2021-01; "
+            "at most 1200 are allowed\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBatchCommand:

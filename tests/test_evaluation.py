@@ -231,7 +231,7 @@ class TestOneForecastPassMatchesTwoCallReference:
             assume(False)
         tail = profile(series)
         args = (series, coeffs, tail, mode, variant, clamp)
-        # compare_models takes its SSEs from forecast's candidate_sse and its rmse
+        # compare_models takes its SSEs from forecast's candidate records and its rmse
         # from sse_modified; the reference recomputes them with sse() and rmse().
         assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
         try:
@@ -239,7 +239,7 @@ class TestOneForecastPassMatchesTwoCallReference:
                 mode=mode, variant=variant, clamp_nonnegative=clamp))
         except DivergenceError:
             return
-        assert result.candidates[result.variant_used] is result.predicted
+        assert result.candidates[result.variant_used].curve is result.predicted
 
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
     @pytest.mark.parametrize("variant", list(ModelVariant))

@@ -13,7 +13,8 @@ from basscast import (
     fit_quadratic,
     monthly_periods,
 )
-from basscast.synthetic import SplitMix64, generate_bass_series
+from basscast.synthetic import SplitMix64
+from conftest import generate_bass_series
 from oracles import normal_equations_fit, quadratic_sse
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -21,7 +22,7 @@ from basscast import (
     profile,
     sse,
 )
-from basscast.forecast import _generate, simulate
+from basscast.forecast import _candidate, simulate
 from conftest import mono_peak_specs
 from oracles import per_step_generate
 
@@ -204,8 +205,8 @@ class TestAutoSelection:
     def test_candidates_are_the_curves_generated(self, monkeypatch, mono_peak_series,
                                                  variant, horizon, curves):
         calls = []
-        monkeypatch.setattr(forecast_module, "_generate",
-                            lambda *args: calls.append(args) or _generate(*args))
+        monkeypatch.setattr(forecast_module, "_candidate",
+                            lambda *args: calls.append(args) or _candidate(*args))
         coeffs = fit_quadratic(mono_peak_series)
         tail = profile(mono_peak_series)
         result = forecast(mono_peak_series, coeffs, tail,
@@ -216,31 +217,47 @@ class TestAutoSelection:
                     else (variant,))
         assert tuple(result.candidates) == expected
         n = len(mono_peak_series)
-        for curve in result.candidates.values():
-            assert len(curve) == n and not curve.flags.writeable
+        for candidate in result.candidates.values():
+            assert len(candidate.curve) == n
         winner = result.candidates[result.variant_used]
-        assert winner.tobytes() == result.predicted[:n].tobytes()
-        with pytest.raises(TypeError):
-            result.candidates[ModelVariant.AUTO] = winner
+        assert winner.curve.tobytes() == result.predicted[:n].tobytes()
+        assert result.correction_term == winner.correction
 
-    @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_candidate_sse_is_each_candidates_sse(self, mono_peak_series, variant):
-        coeffs = fit_quadratic(mono_peak_series)
-        result = forecast(mono_peak_series, coeffs, profile(mono_peak_series),
-                          ForecastConfig(variant=variant))
-        assert tuple(result.candidate_sse) == tuple(result.candidates)
-        for v, curve in result.candidates.items():
-            assert result.candidate_sse[v] == sse(mono_peak_series, curve)
-        assert result.candidate_sse[result.variant_used] == min(result.candidate_sse.values())
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(list(ModelVariant)),
+    )
+    def test_each_record_is_read_only_and_holds_its_curves_sse(self, spec, mode, clamp,
+                                                               variant):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        config = ForecastConfig(mode=mode, clamp_nonnegative=clamp, variant=variant)
+        try:
+            result = forecast(series, coeffs, profile(series), config)
+        except DivergenceError:
+            return
+        for candidate in result.candidates.values():
+            assert candidate.sse == sse(series, candidate.curve)
+            assert not candidate.curve.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                candidate.sse = 0.0
+        best = min(candidate.sse for candidate in result.candidates.values())
+        assert result.candidates[result.variant_used].sse == best
         with pytest.raises(TypeError):
-            result.candidate_sse[ModelVariant.AUTO] = 0.0
+            result.candidates[ModelVariant.AUTO] = result.candidates[result.variant_used]
 
     def test_overflowing_sse_is_inf_and_ties_keep_candidate_order(self):
         # Every candidate is finite, but squaring its ~1e200 residuals overflows.
         series = make([10, 80, 400, 2000])
         coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
         result = forecast(series, coeffs, profile(series), ForecastConfig(mode="one_step"))
-        assert dict(result.candidate_sse) == {
+        assert {v: candidate.sse for v, candidate in result.candidates.items()} == {
             ModelVariant.CLASSICAL: float("inf"),
             ModelVariant.MODIFIED_ADD: float("inf"),
             ModelVariant.MODIFIED_SUBTRACT: float("inf"),

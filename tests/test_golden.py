@@ -1,0 +1,110 @@
+"""Golden payloads: the CLI's output bytes and exit codes over a small seeded matrix.
+
+Each case runs ``basscast.cli.main`` in-process on seeded mono-peak fixtures
+and compares the SHA-256 of every payload file it writes, its exit code and
+its stderr to the constants below. Regenerate the constants only in a change
+that states why the bytes change. The fit goes through LAPACK's SVD, so
+another BLAS build may change last digits and with them these digests.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from basscast import MonoPeakSpec, generate_mono_peak, to_generic_csv
+from basscast.cli import main
+
+# n=360 with peak 12 makes a modified candidate diverge, so auto exits 3 on it.
+FIXTURES = {
+    "n180": MonoPeakSpec(n=180, peak_time=24),
+    "n360": MonoPeakSpec(n=360, peak_time=12),
+}
+
+COMMANDS = {
+    "evaluate": ["evaluate"],
+    "evaluate_both": ["evaluate", "--mode", "both"],
+    "evaluate_subtract_clamped": ["evaluate", "--variant", "modified_subtract",
+                                  "--clamp-nonnegative"],
+    "forecast_h24": ["forecast", "--horizon", "24"],
+    "forecast_one_step_add_h5": ["forecast", "--mode", "one_step", "--variant", "modified_add",
+                                 "--horizon", "5"],
+    "plot": ["plot"],
+}
+
+CASES = [(command, fixture) for command in COMMANDS for fixture in FIXTURES] + [("batch", None)]
+
+
+def run_case(tmp_path, command, fixture):
+    """Exit code, stderr and {relative path: SHA-256} of every file the case writes."""
+    inputs = []
+    for name, spec in FIXTURES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(to_generic_csv(generate_mono_peak(spec)), encoding="utf-8")
+        inputs.append(str(path))
+    out = tmp_path / "out"
+    if command == "batch":
+        argv = ["batch", *inputs]
+    else:
+        argv = [*COMMANDS[command], str(tmp_path / f"{fixture}.csv")]
+    stderr = io.StringIO()
+    # stdout names the output paths, which differ per run; stderr does not.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--output-dir", str(out)])
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+    return code, stderr.getvalue(), digests
+
+
+# auto's error on n360: its modified_add candidate passes the divergence guard at period 293.
+DIVERGED = "error: simulated cumulative demand exceeded 1e+15 at period 293\n"
+
+GOLDEN = {
+    ("evaluate", "n180"): (0, "", {
+        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
+        "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+    }),
+    ("evaluate", "n360"): (3, DIVERGED, {}),
+    ("evaluate_both", "n180"): (0, "", {
+        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
+        "report.json": "2a9b7a8725a48c68fef94646a2db0c61e90f41d60d1d9548a7be4d04d6c3073a",
+    }),
+    ("evaluate_both", "n360"): (3, DIVERGED, {}),
+    ("evaluate_subtract_clamped", "n180"): (0, "", {
+        "predictions.csv": "66c1364f5e9158c6c1fe3931b5b03f4c361477480e92934274cba44ba58414f9",
+        "report.json": "0d986fa6cbf65ff044313b0307069e1c22bd06d3abb477b053c655ff03eaebf0",
+    }),
+    ("evaluate_subtract_clamped", "n360"): (0, "", {
+        "predictions.csv": "cb4ef09870b6aac0863d60dff799fab9c36bf43f37b9a5a973a013d9b09b22c6",
+        "report.json": "487a4f032e7c4f3b5914a554300f7c6cf82130cecc10e442c5f338ecadbdac99",
+    }),
+    ("forecast_h24", "n180"): (0, "", {
+        "forecast.json": "5688cc79af4b4dba9da1db15e994118837fc78021fae154987cbcf00ae737ef6",
+        "predictions.csv": "04a3b98363ac05d944f4738ac48a973ff60cdcca76672f2a2b7df25c7fd5a656",
+    }),
+    ("forecast_h24", "n360"): (3, DIVERGED, {}),
+    ("forecast_one_step_add_h5", "n180"): (0, "", {
+        "forecast.json": "0daad10e2734b9d0bd793eaeb25db41b90907a3373db3ab5e88e5e98393e47f6",
+        "predictions.csv": "ae5dc4e37b9dd67e283dbc80595eaec6a186f417eb180abcf20400f0e4588f37",
+    }),
+    ("forecast_one_step_add_h5", "n360"): (0, "", {
+        "forecast.json": "6e50f18bc099c90e67dd31a4f1f268d522d394019dee9d24804236786e1a78e6",
+        "predictions.csv": "00cb5584596039e0528c373c94c8065cdf7b80c62cb037abfed07646b9a1de69",
+    }),
+    ("plot", "n180"): (0, "", {
+        "compare.svg": "a71abab91dabff2593169565c268fc4734f69b768d0559ec833370b2439e4602",
+    }),
+    ("plot", "n360"): (3, DIVERGED, {}),
+    ("batch", None): (3, "", {
+        "n180/compare.svg": "a71abab91dabff2593169565c268fc4734f69b768d0559ec833370b2439e4602",
+        "n180/predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
+        "n180/report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+    }),
+}
+
+
+@pytest.mark.parametrize("command,fixture", CASES)
+def test_payload_bytes_and_exit_code_are_golden(tmp_path, command, fixture):
+    assert run_case(tmp_path, command, fixture) == GOLDEN[command, fixture]

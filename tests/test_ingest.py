@@ -20,6 +20,7 @@ from basscast import (
     TimeSeries,
     monthly_periods,
 )
+from basscast.ingest import MAX_TRANSACTION_MONTHS
 from basscast.synthetic import SplitMix64
 from oracles import compensated_sum, group_by_month, row_by_row_parse_generic_csv
 
@@ -353,6 +354,24 @@ class TestParseTransactionsCsv:
         with pytest.raises(FormatError) as err:
             parse_transactions_csv(f"timestamp,count\n2016-01-03,2\n2016-01-04,{cell}\n")
         assert err.value.row == 3
+
+
+    def test_span_past_the_month_limit_rejected(self):
+        # One mistyped year would otherwise zero-fill 21,841 months.
+        with pytest.raises(ValidationError) as err:
+            parse_transactions_csv("ts,count\n0201-01-01,1\n2021-01-01,5\n")
+        assert err.value.row is None
+        assert err.value.exit_code == 2
+        assert str(err.value) == (
+            "transactions span 21841 months, 0201-01 to 2021-01; at most 1200 are allowed")
+
+    def test_span_of_exactly_the_month_limit_parses(self):
+        assert MAX_TRANSACTION_MONTHS == 1200
+        series = parse_transactions_csv("ts,count\n1921-02-01,1\n2021-01-31,5\n")
+        assert len(series) == 1200
+        assert series.periods[0] == "1921-02" and series.periods[-1] == "2021-01"
+        with pytest.raises(ValidationError, match="span 1201 months"):
+            parse_transactions_csv("ts,count\n1921-01-01,1\n2021-01-31,5\n")
 
 
 class TestRowNumbers:

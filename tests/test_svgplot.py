@@ -1,3 +1,4 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 from unittest import mock
@@ -14,9 +15,6 @@ from basscast import (
     monthly_periods,
     profile,
     render_comparison_svg,
-    forecast,
-    ForecastConfig,
-    ModelVariant,
     svgplot,
 )
 from oracles import numpy_scalar_polyline
@@ -25,12 +23,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def render(series):
-    coeffs = fit_quadratic(series)
-    tail = profile(series)
-    report = compare_models(series, coeffs, tail)
-    classical = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.CLASSICAL))
-    modified = forecast(series, coeffs, tail, ForecastConfig())
-    return render_comparison_svg(series, classical.predicted, modified.predicted, report)
+    report = compare_models(series, fit_quadratic(series), profile(series))
+    return render_comparison_svg(series, report)
 
 
 def test_renders_three_polylines_with_full_point_count(mono_peak_series):
@@ -59,28 +53,19 @@ def test_single_point_is_degenerate():
     series = TimeSeries(["2020-01"], [5.0])
     report_stub = None
     with pytest.raises(DegeneratePlotError) as err:
-        render_comparison_svg(series, [5.0], [5.0], report_stub)
+        render_comparison_svg(series, report_stub)
     assert "more data" in str(err.value)
 
 
 def test_flat_series_has_zero_range_but_renders():
     series = TimeSeries(monthly_periods(6), [3.0] * 6)
-    coeffs = fit_quadratic(series)
-    tail = profile(series)
-    report = compare_models(series, coeffs, tail)
-    classical = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.CLASSICAL))
-    svg = render_comparison_svg(series, classical.predicted, classical.predicted, report)
+    svg = render(series)
     ET.fromstring(svg)
 
 
 def test_unit_is_escaped():
     series = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1], unit="a<b>&c")
-    coeffs = fit_quadratic(series)
-    tail = profile(series)
-    report = compare_models(series, coeffs, tail)
-    classical = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.CLASSICAL))
-    svg = render_comparison_svg(series, classical.predicted, classical.predicted, report)
-    root = ET.fromstring(svg)
+    root = ET.fromstring(render(series))
     texts = [t.text for t in root.findall(f".//{SVG_NS}text")]
     assert "a<b>&c" in texts
 
@@ -111,10 +96,12 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves):
     actual, classical, modified = curves
     series = TimeSeries(monthly_periods(len(actual)), actual)
     small = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1])
-    report = compare_models(small, fit_quadratic(small), profile(small))
-    svg = render_comparison_svg(series, classical, modified, report)
+    report = dataclasses.replace(compare_models(small, fit_quadratic(small), profile(small)),
+                                 classical_predicted=np.array(classical),
+                                 modified_predicted=np.array(modified))
+    svg = render_comparison_svg(series, report)
     with mock.patch.object(svgplot, "_polyline", _old_polyline):
-        assert svg == render_comparison_svg(series, classical, modified, report)
+        assert svg == render_comparison_svg(series, report)
     xs, ys = np.array(classical), np.array(modified)
     assert svgplot._polyline([f"{x:.3f}," for x in xs.tolist()], ys, "red", None, "c") == (
         numpy_scalar_polyline(xs, ys, "red", None, "c"))

@@ -16,7 +16,8 @@ from basscast import (
     parse_generic_csv,
     to_generic_csv,
 )
-from basscast.synthetic import SplitMix64, generate_bass_series, mono_peak_value
+from basscast.synthetic import SplitMix64, mono_peak_value
+from conftest import generate_bass_series
 
 
 class TestSplitMix64:
@@ -211,6 +212,6 @@ def test_public_names_are_pinned():
     assert len(basscast.__all__) == len(PUBLIC_NAMES)
     assert set(basscast.__all__) == PUBLIC_NAMES
     assert all(hasattr(basscast, name) for name in PUBLIC_NAMES)
-    for helper in ("SplitMix64", "generate_bass_series", "mono_peak_value"):
+    for helper in ("SplitMix64", "mono_peak_value"):
         assert not hasattr(basscast, helper)
         assert callable(getattr(basscast.synthetic, helper))
