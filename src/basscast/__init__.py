@@ -27,8 +27,6 @@ from .evaluation import EvaluationReport, compare_models, improvement_percent, m
 from .fitting import BassParameters, QuadraticCoefficients, derive_bass_parameters, fit_quadratic
 from .forecast import DIVERGENCE_GUARD, ForecastConfig, ForecastResult, ModelVariant, forecast
 from .ingest import (
-    IngestOptions,
-    aggregate_transactions,
     parse_generic_csv,
     parse_google_trends_csv,
     parse_transactions_csv,
@@ -50,7 +48,6 @@ __all__ = [
     "ForecastConfig",
     "ForecastResult",
     "FormatError",
-    "IngestOptions",
     "InsufficientDataError",
     "ModelVariant",
     "MonoPeakSpec",
@@ -64,7 +61,6 @@ __all__ = [
     "TimeSeries",
     "UndefinedBaselineError",
     "ValidationError",
-    "aggregate_transactions",
     "compare_models",
     "compute_ratios",
     "cumulative",

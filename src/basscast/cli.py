@@ -35,7 +35,7 @@ from .evaluation import EvaluationReport, compare_models, improvement_percent
 from .fitting import derive_bass_parameters, fit_quadratic
 from .forecast import ForecastConfig, ModelVariant, forecast
 from .ingest import (
-    IngestOptions,
+    LESS_THAN_ONE_POLICIES,
     csv_text,
     parse_generic_csv,
     parse_google_trends_csv,
@@ -55,16 +55,11 @@ _FORMATS = ("generic", "trends", "transactions")
 
 def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
     text = Path(path).read_text(encoding="utf-8-sig")
-    opts = IngestOptions(
-        less_than_one_policy=args.less_than_one,
-        date_column=args.date_column,
-        value_column=args.value_column,
-    )
     if args.format == "trends":
-        return parse_google_trends_csv(text, opts)
+        return parse_google_trends_csv(text, args.less_than_one)
     if args.format == "transactions":
-        return parse_transactions_csv(text, opts)
-    return parse_generic_csv(text, opts)
+        return parse_transactions_csv(text)
+    return parse_generic_csv(text, args.date_column, args.value_column)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -276,8 +271,7 @@ def _column_selector(raw: str) -> str | int:
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=_FORMATS, default="generic",
                         help="input file format (default: generic)")
-    parser.add_argument("--less-than-one", choices=("as_half", "as_zero", "as_one"),
-                        default="as_half",
+    parser.add_argument("--less-than-one", choices=LESS_THAN_ONE_POLICIES, default="as_half",
                         help="mapping for censored '<1' trend cells (default: as_half)")
     parser.add_argument("--date-column", type=_column_selector, default="0",
                         help="generic CSV period column, name or 0-based index (default: 0)")

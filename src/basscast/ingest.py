@@ -8,7 +8,8 @@ Three formats are supported:
 * Generic CSV with one header row; period and value columns are selected by
   name or 0-based index. RFC-4180 quoting is honoured.
 * Transaction logs with (ISO-8601 timestamp, count) columns, aggregated to a
-  monthly series; months without transactions inside the observed span are
+  monthly series. A timestamp is what datetime.fromisoformat reads, or that
+  with a trailing "Z"; months without transactions inside the observed span are
   emitted with demand 0 so cumulative demand stays defined over real time.
   The span may not pass MAX_TRANSACTION_MONTHS.
 
@@ -24,8 +25,7 @@ import itertools
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import datetime
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInputError, FormatError, ParameterError, ValidationError
@@ -36,31 +36,6 @@ LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
 # A transactions log may span at most this many months, zero-filled ones included,
 # so a mistyped year fails instead of padding centuries of zero months.
 MAX_TRANSACTION_MONTHS = 1200
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    """Knobs for the parsers.
-
-    less_than_one_policy maps censored "<1" Trends cells to 0.5, 0 or 1.
-    date_column / value_column select generic-CSV columns by header name or
-    0-based index. Transaction logs are always aggregated monthly.
-    """
-
-    less_than_one_policy: str = "as_half"
-    date_column: str | int = 0
-    value_column: str | int = 1
-
-    def __post_init__(self):
-        if self.less_than_one_policy not in LESS_THAN_ONE_POLICIES:
-            raise ParameterError(
-                f"less_than_one_policy must be one of {sorted(LESS_THAN_ONE_POLICIES)}, "
-                f"got {self.less_than_one_policy!r}"
-            )
-
-    @property
-    def less_than_one_value(self) -> float:
-        return LESS_THAN_ONE_POLICIES[self.less_than_one_policy]
 
 
 @contextmanager
@@ -96,15 +71,23 @@ def _number(cell: str, row_num: int, what: str = "value") -> float:
     """The finite number in a stripped cell, or FormatError naming the row."""
     try:
         value = float(cell)
-    except (TypeError, ValueError):
+    except ValueError:
         raise FormatError(f"unparseable {what} cell {cell!r}", row=row_num) from None
     if not math.isfinite(value):
         raise FormatError(f"{what} cell {cell!r} is not finite", row=row_num)
     return value
 
 
-def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
-    """Parse a Google Trends CSV export into a monthly trend-index series."""
+def parse_google_trends_csv(text: str, less_than_one: str = "as_half") -> TimeSeries:
+    """Parse a Google Trends CSV export into a monthly trend-index series.
+
+    less_than_one names the value of a censored "<1" cell, one of
+    LESS_THAN_ONE_POLICIES: "as_half" (0.5), "as_zero" (0) or "as_one" (1).
+    """
+    if less_than_one not in LESS_THAN_ONE_POLICIES:
+        raise ParameterError(f"less_than_one must be one of {sorted(LESS_THAN_ONE_POLICIES)}, "
+                             f"got {less_than_one!r}")
+    censored = LESS_THAN_ONE_POLICIES[less_than_one]
     periods: list[str] = []
     demands: list[float] = []
     header_term = None
@@ -133,7 +116,7 @@ def parse_google_trends_csv(text: str, opts: IngestOptions = IngestOptions()) ->
         _check_ascending(label, periods[-1] if periods else None, line_num)
         cell = row[1].strip()
         if cell == "<1":
-            value = opts.less_than_one_value
+            value = censored
         else:
             value = _number(cell, line_num)
             if not 0.0 <= value <= 100.0:
@@ -176,8 +159,13 @@ def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
     return label, _number(row[value_idx].strip(), row_num)
 
 
-def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
-    """Parse a two-column CSV (period label, numeric demand) with one header row."""
+def parse_generic_csv(text: str, date_column: str | int = 0,
+                      value_column: str | int = 1) -> TimeSeries:
+    """Parse a CSV with one header row into a series of (period label, numeric demand).
+
+    date_column and value_column select the two columns by header name or
+    0-based index.
+    """
     periods: list[str] = []
     demands: list[float] = []
     with _csv_reader(text) as reader:
@@ -186,8 +174,8 @@ def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeS
                 break
         else:
             raise FormatError("no header row found; file has no data rows")
-        date_idx = _resolve_column(opts.date_column, header, reader.line_num)
-        value_idx = _resolve_column(opts.value_column, header, reader.line_num)
+        date_idx = _resolve_column(date_column, header, reader.line_num)
+        value_idx = _resolve_column(value_column, header, reader.line_num)
         unit = header[value_idx].strip() or "unitless"
         previous = None
         for row in reader:
@@ -213,28 +201,15 @@ def parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeS
 
 
 def _parse_timestamp(cell: str, row_num: int) -> str:
-    """The "YYYY-MM" month of an ISO-8601 date or datetime string."""
+    """The "YYYY-MM" month of a stamp datetime.fromisoformat reads, a trailing "Z" allowed."""
     text = cell.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
-    for parser in (datetime.fromisoformat, date.fromisoformat):
-        try:
-            stamp = parser(text)
-        except ValueError:
-            continue
-        return f"{stamp.year:04d}-{stamp.month:02d}"
-    raise FormatError(f"unparseable timestamp {cell!r}", row=row_num)
-
-
-def _add_transaction(buckets: dict[str, float], stamp: str, count: float, row_num: int) -> None:
-    """Add one transaction's finite count into the running total of its month."""
-    key = _parse_timestamp(stamp, row_num)
-    if count < 0:
-        raise ValidationError(f"negative count {count}", row=row_num)
-    total = buckets.get(key, 0.0) + count
-    if not math.isfinite(total):
-        raise ValidationError(f"demand at period {key!r} is not finite", row=row_num)
-    buckets[key] = total
+    try:
+        stamp = datetime.fromisoformat(text)
+    except ValueError:
+        raise FormatError(f"unparseable timestamp {cell!r}", row=row_num) from None
+    return f"{stamp.year:04d}-{stamp.month:02d}"
 
 
 def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
@@ -249,26 +224,11 @@ def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
     return TimeSeries(periods, demands, unit="transactions/month")
 
 
-def aggregate_transactions(rows: Sequence[tuple[str, float]]) -> TimeSeries:
-    """Sum transaction counts into a monthly demand series.
-
-    Months with no transactions between the first and last observed month are
-    emitted with demand 0, so the total demand always equals the total of the
-    input counts. Errors name the 1-based position of the offending row.
-    """
-    if not rows:
-        raise EmptyInputError("no transaction rows")
-    buckets: dict[str, float] = {}
-    for row_num, (stamp, count) in enumerate(rows, 1):
-        _add_transaction(buckets, str(stamp), _number(count, row_num, "count"), row_num)
-    return _monthly_series(buckets)
-
-
-def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
+def parse_transactions_csv(text: str) -> TimeSeries:
     """Parse a (timestamp, count) CSV, with or without a header row, and aggregate monthly.
 
-    Each row is added to its month as it is read, so the first bad row in
-    file order raises.
+    Each row's finite, non-negative count is added to its month as it is read,
+    so the first bad row in file order raises.
     """
     buckets: dict[str, float] = {}
     first = True
@@ -283,7 +243,14 @@ def parse_transactions_csv(text: str, opts: IngestOptions = IngestOptions()) -> 
                 float(row[1])
             except ValueError:
                 continue  # the first row is a header when its count cell is not numeric
-        _add_transaction(buckets, row[0], _number(row[1].strip(), line_num, "count"), line_num)
+        count = _number(row[1].strip(), line_num, "count")
+        key = _parse_timestamp(row[0], line_num)
+        if count < 0:
+            raise ValidationError(f"negative count {count}", row=line_num)
+        total = buckets.get(key, 0.0) + count
+        if not math.isfinite(total):
+            raise ValidationError(f"demand at period {key!r} is not finite", row=line_num)
+        buckets[key] = total
     if not buckets:
         raise EmptyInputError("no data rows")
     return _monthly_series(buckets)

@@ -44,13 +44,16 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
+def _dash_attr(dash: str | None) -> str:
+    return f' stroke-dasharray="{dash}"' if dash else ""
+
+
 def _polyline(xs: list[str], ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
     """One curve; xs are the chart's x coordinates, already formatted as "x,"."""
     points = " ".join(map(operator.add, xs, map("{:.3f}".format, ys.tolist())))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
-        f'{dash_attr} points="{points}"/>'
+        f'{_dash_attr(dash)} points="{points}"/>'
     )
 
 
@@ -79,23 +82,21 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     # The x coordinates depend only on n: format them once, as "x,", for all three curves.
     xs = list(map("{:.3f},".format,
                   _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1).tolist()))
-    curves = [
-        _polyline(xs, _scale(actual, lo, hi, y0, y1), _COLOR_ACTUAL, None, "actual"),
-        _polyline(xs, _scale(classical, lo, hi, y0, y1), _COLOR_CLASSICAL, "8 5", "classical"),
-        _polyline(xs, _scale(modified, lo, hi, y0, y1), _COLOR_MODIFIED, "10 4 2 4", "modified"),
+    # One row per curve, (id, values, color, dash, legend text), drives its polyline and legend.
+    table = [
+        ("actual", actual, _COLOR_ACTUAL, None, "actual"),
+        ("classical", classical, _COLOR_CLASSICAL, "8 5", "classical"),
+        ("modified", modified, _COLOR_MODIFIED, "10 4 2 4",
+         f"modified ({report.variant_used.value})"),
     ]
-
-    legend_entries = [
-        (_COLOR_ACTUAL, "", "actual"),
-        (_COLOR_CLASSICAL, ' stroke-dasharray="8 5"', "classical"),
-        (_COLOR_MODIFIED, ' stroke-dasharray="10 4 2 4"', f"modified ({report.variant_used.value})"),
-    ]
+    curves = [_polyline(xs, _scale(values, lo, hi, y0, y1), color, dash, label)
+              for label, values, color, dash, _ in table]
     legend = []
-    for i, (color, dash, text) in enumerate(legend_entries):
+    for i, (_, _, color, dash, text) in enumerate(table):
         ly = _MARGIN_TOP + 14 + 20 * i
         legend.append(
             f'<line x1="{x1 - 190:.0f}" y1="{ly}" x2="{x1 - 158:.0f}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"{dash}/>'
+            f'stroke="{color}" stroke-width="2"{_dash_attr(dash)}/>'
         )
         legend.append(
             f'<text x="{x1 - 150:.0f}" y="{ly + 4}" font-size="13">{_escape(text)}</text>'

@@ -88,16 +88,15 @@ def mono_peak_value(spec: MonoPeakSpec, t: int) -> float:
     )
 
 
-def generate_mono_peak(
-    spec: MonoPeakSpec,
-    start_period: str = DEFAULT_START_PERIOD,
-    unit: str = "synthetic",
-) -> TimeSeries:
-    """Seeded mono-peak fixture series; identical spec (seed included) gives identical output."""
+def generate_mono_peak(spec: MonoPeakSpec, start_period: str = DEFAULT_START_PERIOD) -> TimeSeries:
+    """Seeded mono-peak fixture series in unit "synthetic".
+
+    An identical spec (seed included) gives identical output.
+    """
     rng = SplitMix64(spec.seed)
     amp = spec.noise_amplitude
     demands = []
     for t in range(spec.n):
         value = mono_peak_value(spec, t) + rng.uniform(-amp, amp)
         demands.append(max(value, 0.0))
-    return TimeSeries(monthly_periods(spec.n, start_period), demands, unit=unit)
+    return TimeSeries(monthly_periods(spec.n, start_period), demands, unit="synthetic")

@@ -20,7 +20,6 @@ from basscast import (
     EvaluationReport,
     ForecastConfig,
     FormatError,
-    IngestOptions,
     ModelVariant,
     TimeSeries,
     ValidationError,
@@ -271,7 +270,8 @@ def _resolve_column(selector: str | int, header: list[str], row_num: int) -> int
     return stripped.index(selector)
 
 
-def row_by_row_parse_generic_csv(text: str, opts: IngestOptions = IngestOptions()) -> TimeSeries:
+def row_by_row_parse_generic_csv(text: str, date_column: str | int = 0,
+                                 value_column: str | int = 1) -> TimeSeries:
     """Parse a two-column CSV (period label, numeric demand) with one header row."""
     periods: list[str] = []
     demands: list[float] = []
@@ -281,8 +281,8 @@ def row_by_row_parse_generic_csv(text: str, opts: IngestOptions = IngestOptions(
         if _blank(row):
             continue
         if date_idx is None:
-            date_idx = _resolve_column(opts.date_column, row, line_num)
-            value_idx = _resolve_column(opts.value_column, row, line_num)
+            date_idx = _resolve_column(date_column, row, line_num)
+            value_idx = _resolve_column(value_column, row, line_num)
             unit = row[value_idx].strip() or "unitless"
             continue
         if len(row) <= max(date_idx, value_idx):

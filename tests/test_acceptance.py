@@ -26,9 +26,8 @@ from basscast import (
     improvement_percent,
     mean_demand,
     profile,
-    aggregate_transactions,
     parse_google_trends_csv,
-    IngestOptions,
+    parse_transactions_csv,
 )
 from basscast.synthetic import SplitMix64
 from basscast.cli import main
@@ -237,19 +236,17 @@ def test_c9_ingestion_conservation_and_policy_mapping():
         month = 1 + int(rng.next_float() * 12)
         day = 1 + int(rng.next_float() * 28)
         rows.append((f"{year:04d}-{month:02d}-{day:02d}", int(rng.next_float() * 25)))
-    series = aggregate_transactions(rows)
+    text = "timestamp,count\n" + "".join(f"{stamp},{count}\n" for stamp, count in rows)
+    series = parse_transactions_csv(text)
     total_in = sum(count for _, count in rows)
-    assert float(np.sum(series.demands)) == pytest.approx(total_in, rel=1e-12)
+    assert float(np.sum(series.demands)) == total_in
     oracle = group_by_month(rows)
     for label, value in zip(series.periods, series.demands):
         assert value == oracle.get(label, 0.0)
 
     header = "Month,thing: (Worldwide)\n"
     for policy, mapped in (("as_half", 0.5), ("as_zero", 0.0), ("as_one", 1.0)):
-        parsed = parse_google_trends_csv(
-            header + "2010-01,<1\n2010-02,7\n",
-            IngestOptions(less_than_one_policy=policy),
-        )
+        parsed = parse_google_trends_csv(header + "2010-01,<1\n2010-02,7\n", less_than_one=policy)
         assert parsed.demands[0] == mapped
         assert 0.0 <= parsed.demands[0] <= 1.0
     ok("C9", "10k-row aggregation conserves totals; '<1' policies map to 0.5 / 0 / 1")

@@ -161,6 +161,19 @@ class TestEvaluateCommand:
         assert report["one_step"]["mode"] == "one_step"
         assert report["simulated"]["mode"] == "simulated"
 
+    def test_clamped_one_step_auto_can_pick_a_correction(self, tmp_path):
+        # Unclamped, a one-step modified curve is the classical one plus a constant and never
+        # wins; the clamp breaks that, and this seeded fixture picks a correction.
+        csv_path = tmp_path / "series.csv"
+        assert main(["synth", "--n", "60", "--peak-time", "12", "--seed", "0",
+                     "--output", str(csv_path)]) == 0
+        code = main(["evaluate", str(csv_path), "--mode", "one_step", "--clamp-nonnegative",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["variant_used"] == "modified_subtract"
+        assert report["improvement_percent"] == 7.297567105369658
+
     def test_forced_variant_flag(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
         code = main(["evaluate", str(csv_path), "--variant", "modified_subtract",
@@ -348,6 +361,15 @@ class TestTrendsAndTransactionsFormats:
         assert capsys.readouterr().err == (
             "error: transactions span 21841 months, 0201-01 to 2021-01; "
             "at most 1200 are allowed\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stamp", ["20200115ab", "2020011599", "21880203Z+"])
+    def test_trailing_junk_in_a_timestamp_exits_2(self, tmp_path, capsys, stamp):
+        csv_path = tmp_path / "tx.csv"
+        csv_path.write_text(f"ts,count\n2020-01-01,1\n{stamp},2\n", encoding="utf-8")
+        assert main(["evaluate", str(csv_path), "--format", "transactions",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: row 3: unparseable timestamp {stamp!r}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,12 @@
 """Golden payloads: the CLI's output bytes and exit codes over a small seeded matrix.
 
-Each case runs ``basscast.cli.main`` in-process on seeded mono-peak fixtures
-and compares the SHA-256 of every payload file it writes, its exit code and
-its stderr to the constants below. Regenerate the constants only in a change
-that states why the bytes change. The fit goes through LAPACK's SVD, so
-another BLAS build may change last digits and with them these digests.
+Each case runs ``basscast.cli.main`` in-process on seeded mono-peak fixtures,
+written as generic CSV or, for the ingest cases, as a transactions log, a
+Trends export or a CSV with named columns. It compares the SHA-256 of every
+payload file it writes, its exit code and its stderr to the constants below.
+Regenerate the constants only in a change that states why the bytes change.
+The fit goes through LAPACK's SVD, so another BLAS build may change last
+digits and with them these digests.
 """
 import contextlib
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from basscast import MonoPeakSpec, generate_mono_peak, to_generic_csv
 from basscast.cli import main
+from basscast.synthetic import SplitMix64
 
 # n=360 with peak 12 makes a modified candidate diverge, so auto exits 3 on it.
 FIXTURES = {
@@ -42,11 +45,15 @@ def run_case(tmp_path, command, fixture):
         path = tmp_path / f"{name}.csv"
         path.write_text(to_generic_csv(generate_mono_peak(spec)), encoding="utf-8")
         inputs.append(str(path))
-    out = tmp_path / "out"
     if command == "batch":
         argv = ["batch", *inputs]
     else:
         argv = [*COMMANDS[command], str(tmp_path / f"{fixture}.csv")]
+    return run_main(argv, tmp_path / "out")
+
+
+def run_main(argv, out):
+    """Exit code, stderr and {path relative to out: SHA-256} of one main call writing to out."""
     stderr = io.StringIO()
     # stdout names the output paths, which differ per run; stderr does not.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -108,3 +115,71 @@ GOLDEN = {
 @pytest.mark.parametrize("command,fixture", CASES)
 def test_payload_bytes_and_exit_code_are_golden(tmp_path, command, fixture):
     assert run_case(tmp_path, command, fixture) == GOLDEN[command, fixture]
+
+
+def transactions_log():
+    """A seeded log: each month of a mono-peak curve split over three rows.
+
+    Month 30 has no rows, so the parser zero-fills it. Each month has a date
+    stamp, a datetime stamp ending in Z and a datetime stamp with a space.
+    """
+    series = generate_mono_peak(MonoPeakSpec(n=48, peak_time=10))
+    rng = SplitMix64(12)
+    lines = ["timestamp,count"]
+    for i, (label, demand) in enumerate(zip(series.periods, series.demands.tolist())):
+        if i == 30:
+            continue
+        share = rng.next_float()
+        lines += [f"{label}-03,{demand * share!r}",
+                  f"{label}-14T08:30:00Z,{demand * (1 - share) / 2!r}",
+                  f"{label}-27 23:59:59,{demand * (1 - share) / 2!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def trends_export():
+    """A Trends export of a mono-peak curve whose tail falls below 1, written as "<1"."""
+    series = generate_mono_peak(MonoPeakSpec(n=60, peak_time=12, plateau_level=0.4,
+                                             noise_amplitude=0.3))
+    rows = [f"{label},{'<1' if value < 1 else min(100, round(value))}"
+            for label, value in zip(series.periods, series.demands.tolist())]
+    return "Category: All categories\n\nMonth,thing: (Worldwide)\n" + "\n".join(rows) + "\n"
+
+
+def named_columns_csv():
+    """A generic CSV whose period and demand columns are the last two of three."""
+    series = generate_mono_peak(MonoPeakSpec())
+    rows = [f"n{i},{value!r},{label}"
+            for i, (label, value) in enumerate(zip(series.periods, series.demands.tolist()))]
+    return "note,sales,month\n" + "\n".join(rows) + "\n"
+
+
+# Each case: the input text and the command run on it.
+INGEST_CASES = {
+    "transactions": (transactions_log, ["evaluate", "--format", "transactions"]),
+    "trends_as_zero": (trends_export, ["evaluate", "--format", "trends",
+                                       "--less-than-one", "as_zero"]),
+    "fit_named_columns": (named_columns_csv, ["fit", "--date-column", "month",
+                                              "--value-column", "sales"]),
+}
+
+INGEST_GOLDEN = {
+    "transactions": (0, "", {
+        "predictions.csv": "7499c10e02fca7f86c6ce331edc63df7752c0140435aba35724289ea99293554",
+        "report.json": "6af18b7eac0a397420c7dcaa0b292dbdc9604d04446bf88c2afeb683b9f73b1d",
+    }),
+    "trends_as_zero": (0, "", {
+        "predictions.csv": "37f86e61db7621429abf4304976675877fe13bae6ae6fd5a87bfc7f9ba16c643",
+        "report.json": "02019a6103fe1c1f3baf47f04fbf73e5ba3f15f3042d4b904cfd3c69cfd077a8",
+    }),
+    "fit_named_columns": (0, "", {
+        "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", INGEST_CASES)
+def test_ingest_payload_bytes_and_exit_code_are_golden(tmp_path, case):
+    text, command = INGEST_CASES[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text(), encoding="utf-8")
+    assert run_main([*command, str(path)], tmp_path / "out") == INGEST_GOLDEN[case]

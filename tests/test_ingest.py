@@ -9,10 +9,8 @@ from basscast import (
     BasscastError,
     EmptyInputError,
     FormatError,
-    IngestOptions,
     ParameterError,
     ValidationError,
-    aggregate_transactions,
     parse_generic_csv,
     parse_google_trends_csv,
     parse_transactions_csv,
@@ -27,22 +25,24 @@ from oracles import compensated_sum, group_by_month, row_by_row_parse_generic_cs
 TRENDS_HEADER = "Category: All categories\n\nMonth,kingston ram ddr2: (Worldwide)\n"
 
 
-class TestIngestOptions:
+class TestLessThanOnePolicy:
     def test_defaults(self):
-        opts = IngestOptions()
-        assert opts.less_than_one_policy == "as_half"
-        assert opts.less_than_one_value == 0.5
+        series = parse_google_trends_csv(TRENDS_HEADER + "2010-01,<1\n")
+        assert series.demands[0] == 0.5
 
     @pytest.mark.parametrize(
         "policy,value", [("as_half", 0.5), ("as_zero", 0.0), ("as_one", 1.0)]
     )
     def test_policy_mapping(self, policy, value):
-        assert IngestOptions(less_than_one_policy=policy).less_than_one_value == value
+        series = parse_google_trends_csv(TRENDS_HEADER + "2010-01,<1\n", less_than_one=policy)
+        assert series.demands[0] == value
         assert 0.0 <= value <= 1.0
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ParameterError):
-            IngestOptions(less_than_one_policy="as_two")
+        # The policy is checked before the text is read, so even an empty file raises it.
+        for text in (TRENDS_HEADER + "2010-01,<1\n", ""):
+            with pytest.raises(ParameterError):
+                parse_google_trends_csv(text, less_than_one="as_two")
 
 
 class TestParseGoogleTrends:
@@ -59,7 +59,7 @@ class TestParseGoogleTrends:
     )
     def test_less_than_one_policies(self, policy, mapped):
         text = TRENDS_HEADER + "2010-01,<1\n2010-02,5\n"
-        series = parse_google_trends_csv(text, IngestOptions(less_than_one_policy=policy))
+        series = parse_google_trends_csv(text, less_than_one=policy)
         assert series.demands[0] == mapped
 
     def test_no_data_rows(self):
@@ -140,23 +140,18 @@ class TestParseGenericCsv:
 
     def test_by_index_equals_by_name(self):
         text = "month,sales\n2020-01,10\n2020-02,20\n"
-        by_index = parse_generic_csv(text, IngestOptions(date_column=0, value_column=1))
-        by_name = parse_generic_csv(
-            text, IngestOptions(date_column="month", value_column="sales")
-        )
+        by_index = parse_generic_csv(text, date_column=0, value_column=1)
+        by_name = parse_generic_csv(text, date_column="month", value_column="sales")
         assert by_index == by_name
 
     def test_column_selection_from_wider_file(self):
         text = "region,month,sales\nus,2020-01,10\nus,2020-02,20\n"
-        series = parse_generic_csv(
-            text, IngestOptions(date_column="month", value_column="sales")
-        )
+        series = parse_generic_csv(text, date_column="month", value_column="sales")
         assert series.periods == ("2020-01", "2020-02")
 
     def test_missing_column_name(self):
         with pytest.raises(FormatError):
-            parse_generic_csv("month,sales\n2020-01,1\n",
-                              IngestOptions(value_column="revenue"))
+            parse_generic_csv("month,sales\n2020-01,1\n", value_column="revenue")
 
     def test_quoted_cells(self):
         text = 'period,"unit, sales"\n"2020-01","10"\n"2020-02","20"\n'
@@ -185,7 +180,7 @@ class TestParseGenericCsv:
 
     def test_column_index_out_of_range(self):
         with pytest.raises(FormatError):
-            parse_generic_csv("month,sales\n2020-01,1\n", IngestOptions(value_column=5))
+            parse_generic_csv("month,sales\n2020-01,1\n", value_column=5)
 
 
 # Cells a generic CSV may hold: numbers as written by people and programs,
@@ -241,10 +236,10 @@ def generic_csv_inputs(draw):
             _selector(draw, columns, "demand"))
 
 
-def _outcome(parse, text, opts):
+def _outcome(parse, text, date_column, value_column):
     """A parsed series as plain values, or the error as (class, message, row)."""
     try:
-        series = parse(text, opts)
+        series = parse(text, date_column, value_column)
     except Exception as exc:  # every error must match the reference's, whatever its class
         return type(exc), str(exc), getattr(exc, "row", None)
     return series.periods, series.unit, series.demands.tobytes()
@@ -253,29 +248,31 @@ def _outcome(parse, text, opts):
 @settings(max_examples=400)
 @given(generic_csv_inputs())
 def test_one_pass_parser_matches_row_by_row_reference(inputs):
-    text, date_column, value_column = inputs
-    opts = IngestOptions(date_column=date_column, value_column=value_column)
-    assert _outcome(parse_generic_csv, text, opts) == _outcome(
-        row_by_row_parse_generic_csv, text, opts)
+    assert _outcome(parse_generic_csv, *inputs) == _outcome(row_by_row_parse_generic_csv, *inputs)
 
 
-class TestAggregateTransactions:
+def transactions_log(rows):
+    """A transactions CSV of (timestamp, count) rows under a header, which is line 1."""
+    return "timestamp,count\n" + "".join(f"{stamp},{count}\n" for stamp, count in rows)
+
+
+class TestParseTransactionsCsv:
     def test_single_month(self):
-        series = aggregate_transactions(
+        series = parse_transactions_csv(transactions_log(
             [("2016-01-03", 1), ("2016-01-10", 2), ("2016-01-28", 3)]
-        )
+        ))
         assert series.periods == ("2016-01",)
         assert series.demands[0] == 6.0
 
     def test_gap_months_zero_filled(self):
-        series = aggregate_transactions([("2016-01-03", 1), ("2016-03-10", 2)])
+        series = parse_transactions_csv(transactions_log([("2016-01-03", 1), ("2016-03-10", 2)]))
         assert series.periods == ("2016-01", "2016-02", "2016-03")
         assert np.array_equal(series.demands, [1.0, 0.0, 2.0])
 
     def test_datetime_and_zulu_timestamps(self):
-        series = aggregate_transactions(
+        series = parse_transactions_csv(transactions_log(
             [("2016-01-03T12:30:00", 1), ("2016-01-05 08:00:00", 2), ("2016-01-09T00:00:00Z", 4)]
-        )
+        ))
         assert series.demands[0] == 7.0
 
     def test_conservation_on_random_log(self):
@@ -287,41 +284,39 @@ class TestAggregateTransactions:
             day = 1 + int(rng.next_float() * 28)
             count = int(rng.next_float() * 20)
             rows.append((f"{year:04d}-{month:02d}-{day:02d}", count))
-        series = aggregate_transactions(rows)
+        series = parse_transactions_csv(transactions_log(rows))
         oracle = group_by_month(rows)
-        assert float(np.sum(series.demands)) == pytest.approx(
-            sum(oracle.values()), rel=1e-12
-        )
+        assert float(np.sum(series.demands)) == sum(oracle.values())
         for label, value in zip(series.periods, series.demands):
-            assert value == pytest.approx(oracle.get(label, 0.0), rel=1e-12)
+            assert value == oracle.get(label, 0.0)
 
     def test_bad_timestamp_names_row(self):
         with pytest.raises(FormatError) as err:
-            aggregate_transactions([("2016-01-03", 1), ("someday", 2)])
-        assert err.value.row == 2
+            parse_transactions_csv(transactions_log([("2016-01-03", 1), ("someday", 2)]))
+        assert err.value.row == 3
+
+    # Python 3.11's date.fromisoformat reads these as 2020-01, 2020-01 and 2188-02.
+    @pytest.mark.parametrize("stamp", ["20200115ab", "2020011599", "21880203Z+"])
+    def test_trailing_junk_after_a_basic_date_names_row(self, stamp):
+        with pytest.raises(FormatError) as err:
+            parse_transactions_csv(transactions_log([("2020-01-01", 1), (stamp, 2)]))
+        assert err.value.row == 3
+        assert str(err.value) == f"row 3: unparseable timestamp {stamp!r}"
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_transactions([("2016-01-03", -1)])
+            parse_transactions_csv(transactions_log([("2016-01-03", -1)]))
 
     def test_unparseable_count_names_row(self):
         with pytest.raises(FormatError) as err:
-            aggregate_transactions([("2016-01-03", "abc")])
-        assert err.value.row == 1
-        assert str(err.value) == "row 1: unparseable count cell 'abc'"
-
-    def test_missing_count_names_row(self):
-        with pytest.raises(FormatError) as err:
-            aggregate_transactions([("2016-01-03", 1), ("2016-01-04", None)])
+            parse_transactions_csv(transactions_log([("2016-01-03", "abc")]))
         assert err.value.row == 2
-        assert str(err.value) == "row 2: unparseable count cell None"
+        assert str(err.value) == "row 2: unparseable count cell 'abc'"
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            aggregate_transactions([])
+            parse_transactions_csv("")
 
-
-class TestParseTransactionsCsv:
     def test_with_header(self):
         series = parse_transactions_csv("timestamp,count\n2016-01-03,2\n2016-02-01,3\n")
         assert series.periods == ("2016-01", "2016-02")
@@ -392,15 +387,16 @@ class TestRowNumbers:
         assert err.value.row == 2
         assert str(err.value) == "row 2: unparseable timestamp 'bogus'"
 
-    def test_aggregate_numbers_rows_from_one(self):
+    def test_transactions_error_messages(self):
         with pytest.raises(ValidationError) as err:
-            aggregate_transactions([("2016-01-03", 1e308), ("2016-01-04", 1e308)])
-        assert err.value.row == 2
-        assert str(err.value) == "row 2: demand at period '2016-01' is not finite"
+            parse_transactions_csv(
+                transactions_log([("2016-01-03", 1e308), ("2016-01-04", 1e308)]))
+        assert err.value.row == 3
+        assert str(err.value) == "row 3: demand at period '2016-01' is not finite"
         with pytest.raises(ValidationError) as err:
-            aggregate_transactions([("2016-01-03", 1), ("2016-02-01", -1)])
-        assert err.value.row == 2
-        assert str(err.value) == "row 2: negative count -1.0"
+            parse_transactions_csv(transactions_log([("2016-01-03", 1), ("2016-02-01", -1)]))
+        assert err.value.row == 3
+        assert str(err.value) == "row 3: negative count -1.0"
 
     @pytest.mark.parametrize("parse,text,row", [
         (parse_generic_csv, "month,sales\n2020-02,1\n\n2020-01,2\n", 4),

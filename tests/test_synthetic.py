@@ -182,6 +182,9 @@ class TestGenerateMonoPeak:
         assert np.all(series.demands >= clipped - 1e-12)
         assert np.all(series.demands <= base + spec.noise_amplitude + 1e-12)
 
+    def test_unit_is_synthetic(self):
+        assert generate_mono_peak(MonoPeakSpec()).unit == "synthetic"
+
     def test_round_trips_through_generic_csv(self):
         series = generate_mono_peak(MonoPeakSpec(seed=4))
         parsed = parse_generic_csv(to_generic_csv(series))
@@ -195,11 +198,11 @@ class TestGenerateMonoPeak:
 PUBLIC_NAMES = {
     "BassParameters", "BasscastError", "DIVERGENCE_GUARD", "DegeneratePlotError",
     "DivergenceError", "EmptyInputError", "EvaluationReport", "ForecastConfig",
-    "ForecastResult", "FormatError", "IngestOptions", "InsufficientDataError",
+    "ForecastResult", "FormatError", "InsufficientDataError",
     "ModelVariant", "MonoPeakSpec", "NoRealMarketSizeError", "NonDiffusionShapeError",
     "ParameterError", "QuadraticCoefficients", "ShapeError", "SingularFitError",
     "TailProfile", "TimeSeries", "UndefinedBaselineError", "ValidationError",
-    "aggregate_transactions", "compare_models", "compute_ratios", "cumulative",
+    "compare_models", "compute_ratios", "cumulative",
     "derive_bass_parameters", "detect_peak", "detect_tail_start", "fit_quadratic",
     "forecast", "generate_mono_peak", "improvement_percent", "mae", "mape", "mean_demand",
     "monthly_periods", "parse_generic_csv", "parse_google_trends_csv",
