@@ -78,7 +78,7 @@ def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
     if horizon == 0:
         return []
     last = periods[-1]
-    if all(_MONTH_RE.match(p) for p in periods):
+    if all(_MONTH_RE.fullmatch(p) for p in periods):
         return list(monthly_periods(horizon + 1, last)[1:])
     return [f"{last}+{k:04d}" for k in range(1, horizon + 1)]
 

@@ -39,12 +39,14 @@ MAX_TRANSACTION_MONTHS = 1200
 
 
 @contextmanager
-def _csv_reader(text: str) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over text whose csv.Error becomes a FormatError naming the line.
+def _csv_reader(lines: io.StringIO) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over lines whose csv.Error becomes a FormatError naming the line.
 
-    csv.reader raises csv.Error for a cell longer than csv.field_size_limit().
+    lines is a StringIO opened with newline="", so it splits lines where
+    csv.reader does. csv.reader raises csv.Error for a cell longer than
+    csv.field_size_limit().
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(lines)
     try:
         yield reader
     except csv.Error as exc:
@@ -52,7 +54,7 @@ def _csv_reader(text: str) -> Iterator[Iterator[list[str]]]:
 
 
 def _rows(text: str) -> Iterable[tuple[int, list[str]]]:
-    with _csv_reader(text) as reader:
+    with _csv_reader(io.StringIO(text, newline="")) as reader:
         for row in reader:
             yield reader.line_num, row
 
@@ -101,7 +103,7 @@ def parse_google_trends_csv(text: str, less_than_one: str = "as_half") -> TimeSe
                 header_term = row[1].strip() if len(row) > 1 else None
                 in_data = True
                 continue
-            if _MONTH_RE.match(first):
+            if _MONTH_RE.fullmatch(first):
                 raise FormatError(
                     f"data row {first!r} appeared before the 'Month' header", row=line_num
                 )
@@ -111,7 +113,7 @@ def parse_google_trends_csv(text: str, less_than_one: str = "as_half") -> TimeSe
         if len(row) < 2:
             raise FormatError(f"expected 'YYYY-MM,value', got {row!r}", row=line_num)
         label = row[0].strip()
-        if not _MONTH_RE.match(label):
+        if not _MONTH_RE.fullmatch(label):
             raise FormatError(f"month label {label!r} is not YYYY-MM", row=line_num)
         _check_ascending(label, periods[-1] if periods else None, line_num)
         cell = row[1].strip()
@@ -148,8 +150,9 @@ def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
                  previous: str | None) -> tuple[str, float]:
     """The (label, value) of a non-blank generic data row, checked cell by cell.
 
-    This is the slow path of parse_generic_csv, for rows its fast path
-    doubts; it raises the error that names the row's first problem.
+    This is the slow path of parse_generic_csv's row loop, for rows the
+    loop's inline fast path doubts; it raises the error that names the row's
+    first problem.
     """
     if len(row) <= max(date_idx, value_idx):
         raise FormatError(f"row has {len(row)} columns, need {max(date_idx, value_idx) + 1}",
@@ -159,16 +162,57 @@ def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
     return label, _number(row[value_idx].strip(), row_num)
 
 
+def _split_series(body: str, date_idx: int, value_idx: int, unit: str) -> TimeSeries | None:
+    """The series in the text after a generic CSV's header, read with str.split, or None.
+
+    This is the whole-file path of parse_generic_csv. It takes only a body
+    where str.split cuts the cells csv.reader would: no '"', no NUL (which
+    csv.reader rejects before Python 3.11), every CR part of a CRLF, every
+    line holding as many commas as the first and enough cells for both
+    columns, and no line longer than csv.field_size_limit(). It returns None
+    for any other body, and for one whose cells do not convert or whose
+    series does not validate; the row loop then reads the body and names
+    the row at fault.
+    """
+    if '"' in body or "\0" in body:
+        return None
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    body = body.rstrip("\n")  # blank lines at the end, which the row loop skips too
+    if not body:
+        return None
+    lines = body.split("\n")
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, lines)) > limit:
+        return None
+    commas = lines[0].count(",")
+    if (commas < max(date_idx, value_idx)
+            or set(map(str.count, lines, itertools.repeat(","))) != {commas}):
+        return None
+    del lines  # freed before the cells are built, to lower a large file's peak memory
+    cells = body.replace("\n", ",").split(",")
+    try:
+        # TimeSeries checks in C-level passes that the values are finite and the labels ascend.
+        return TimeSeries(map(str.strip, cells[date_idx::commas + 1]),
+                          list(map(float, cells[value_idx::commas + 1])), unit=unit)
+    except (ValueError, ValidationError):
+        return None
+
+
 def parse_generic_csv(text: str, date_column: str | int = 0,
                       value_column: str | int = 1) -> TimeSeries:
     """Parse a CSV with one header row into a series of (period label, numeric demand).
 
     date_column and value_column select the two columns by header name or
-    0-based index.
+    0-based index. A body _split_series reads is taken whole; any other is
+    read row by row.
     """
     periods: list[str] = []
     demands: list[float] = []
-    with _csv_reader(text) as reader:
+    lines = io.StringIO(text, newline="")
+    with _csv_reader(lines) as reader:
         for header in reader:
             if not _blank(header):
                 break
@@ -177,6 +221,9 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
         date_idx = _resolve_column(date_column, header, reader.line_num)
         value_idx = _resolve_column(value_column, header, reader.line_num)
         unit = header[value_idx].strip() or "unitless"
+        series = _split_series(text[lines.tell():], date_idx, value_idx, unit)
+        if series is not None:
+            return series
         previous = None
         for row in reader:
             # Fast path: a row whose cells index, convert and ascend cleanly is taken
@@ -200,15 +247,18 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
     return TimeSeries(periods, demands, unit=unit)
 
 
-def _parse_timestamp(cell: str, row_num: int) -> str:
-    """The "YYYY-MM" month of a stamp datetime.fromisoformat reads, a trailing "Z" allowed."""
+def _month(cell: str) -> str | None:
+    """The "YYYY-MM" month of a timestamp cell, or None for a cell that holds none.
+
+    A timestamp is what datetime.fromisoformat reads, a trailing "Z" allowed.
+    """
     text = cell.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
-        raise FormatError(f"unparseable timestamp {cell!r}", row=row_num) from None
+        return None
     return f"{stamp.year:04d}-{stamp.month:02d}"
 
 
@@ -227,8 +277,10 @@ def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
 def parse_transactions_csv(text: str) -> TimeSeries:
     """Parse a (timestamp, count) CSV, with or without a header row, and aggregate monthly.
 
-    Each row's finite, non-negative count is added to its month as it is read,
-    so the first bad row in file order raises.
+    The first non-blank row is a header when its count cell is not a number
+    and its timestamp cell is not a timestamp; otherwise it is data. Each
+    row's finite, non-negative count is added to its month as it is read, so
+    the first bad row in file order raises.
     """
     buckets: dict[str, float] = {}
     first = True
@@ -239,12 +291,15 @@ def parse_transactions_csv(text: str) -> TimeSeries:
             raise FormatError(f"expected 'timestamp,count', got {row!r}", row=line_num)
         if first:
             first = False
-            try:
-                float(row[1])
-            except ValueError:
-                continue  # the first row is a header when its count cell is not numeric
+            if _month(row[0]) is None:
+                try:
+                    float(row[1])
+                except ValueError:
+                    continue  # a header: neither a timestamp nor a count
         count = _number(row[1].strip(), line_num, "count")
-        key = _parse_timestamp(row[0], line_num)
+        key = _month(row[0])
+        if key is None:
+            raise FormatError(f"unparseable timestamp {row[0]!r}", row=line_num)
         if count < 0:
             raise ValidationError(f"negative count {count}", row=line_num)
         total = buckets.get(key, 0.0) + count

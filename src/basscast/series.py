@@ -87,8 +87,8 @@ def mean_demand(series: TimeSeries) -> float:
     return total / len(series)
 
 
-# A calendar-month period label, "YYYY-MM".
-_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
+# A calendar-month period label, "YYYY-MM" in ASCII digits; use with fullmatch.
+_MONTH_RE = re.compile(r"\d{4}-\d{2}", re.ASCII)
 
 
 def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:

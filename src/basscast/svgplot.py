@@ -6,8 +6,6 @@ version control.
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import DegeneratePlotError
@@ -48,12 +46,14 @@ def _dash_attr(dash: str | None) -> str:
     return f' stroke-dasharray="{dash}"' if dash else ""
 
 
-def _polyline(xs: list[str], ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
-    """One curve; xs are the chart's x coordinates, already formatted as "x,"."""
-    points = " ".join(map(operator.add, xs, map("{:.3f}".format, ys.tolist())))
+def _polyline(points: str, ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
+    """One curve; points is the chart's "x,%.3f ..." template, its x coordinates formatted.
+
+    "%.3f" % y gives the bytes format(y, ".3f") does for every float.
+    """
     return (
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
-        f'{_dash_attr(dash)} points="{points}"/>'
+        f'{_dash_attr(dash)} points="{points % tuple(ys.tolist())}"/>'
     )
 
 
@@ -79,9 +79,10 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     lo = min(actual.min(), classical.min(), modified.min())
     hi = max(actual.max(), classical.max(), modified.max())
 
-    # The x coordinates depend only on n: format them once, as "x,", for all three curves.
-    xs = list(map("{:.3f},".format,
-                  _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1).tolist()))
+    # The x coordinates depend only on n: format them once, into one template for all
+    # three curves that holds a "%.3f" for each y.
+    xs = _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1)
+    points = " ".join(["%.3f,%%.3f"] * n) % tuple(xs.tolist())
     # One row per curve, (id, values, color, dash, legend text), drives its polyline and legend.
     table = [
         ("actual", actual, _COLOR_ACTUAL, None, "actual"),
@@ -89,7 +90,7 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
         ("modified", modified, _COLOR_MODIFIED, "10 4 2 4",
          f"modified ({report.variant_used.value})"),
     ]
-    curves = [_polyline(xs, _scale(values, lo, hi, y0, y1), color, dash, label)
+    curves = [_polyline(points, _scale(values, lo, hi, y0, y1), color, dash, label)
               for label, values, color, dash, _ in table]
     legend = []
     for i, (_, _, color, dash, text) in enumerate(table):

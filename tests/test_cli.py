@@ -261,6 +261,21 @@ class TestForecastCommand:
         assert lines[-2].startswith("t013+0001,")
         assert lines[-1].startswith("t013+0002,")
 
+    def test_labels_in_non_ascii_digits_get_suffixes(self, tmp_path):
+        # int() reads these Arabic-Indic digits as 2004-01..2004-06, but a calendar
+        # month continuing from them ("2004-07") would sort below the observed labels.
+        labels = [f"\u0662\u0660\u0660\u0664-\u0660{d}"
+                  for d in "\u0661\u0662\u0663\u0664\u0665\u0666"]
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text("period,demand\n" + "".join(
+            f"{label},{v}\n" for label, v in zip(labels, [1.0, 5.0, 9.0, 4.0, 2.0, 1.0])),
+            encoding="utf-8")
+        code = main(["forecast", str(csv_path), "--horizon", "2",
+                     "--variant", "classical", "--output-dir", str(tmp_path)])
+        assert code == 0
+        written = [line.split(",")[0] for line in
+                   (tmp_path / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert written == [*labels, f"{labels[-1]}+0001", f"{labels[-1]}+0002"]
 
     def test_labels_with_csv_metacharacters_read_back(self, tmp_path):
         labels = ['a,1', 'b"2', "c 3", "d\u00e94"]
@@ -362,6 +377,24 @@ class TestTrendsAndTransactionsFormats:
             "error: transactions span 21841 months, 0201-01 to 2021-01; "
             "at most 1200 are allowed\n")
         assert not (tmp_path / "out").exists()
+
+    def test_headerless_log_with_a_bad_first_count_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "tx.csv"
+        csv_path.write_text("2020-01-01,many\n2020-02-01,3\n", encoding="utf-8")
+        assert main(["evaluate", str(csv_path), "--format", "transactions",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: row 1: unparseable count cell 'many'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_trends_month_in_non_ascii_digits_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "trends.csv"
+        csv_path.write_text("Month,x\n\u0662\u0660\u0660\u0664-\u0660\u0661,5\n",
+                            encoding="utf-8")
+        assert main(["fit", str(csv_path), "--format", "trends",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: row 2: month label '\u0662\u0660\u0660\u0664-\u0660\u0661' "
+            "is not YYYY-MM\n")
 
     @pytest.mark.parametrize("stamp", ["20200115ab", "2020011599", "21880203Z+"])
     def test_trailing_junk_in_a_timestamp_exits_2(self, tmp_path, capsys, stamp):

@@ -2,7 +2,8 @@
 
 Each case runs ``basscast.cli.main`` in-process on seeded mono-peak fixtures,
 written as generic CSV or, for the ingest cases, as a transactions log, a
-Trends export or a CSV with named columns. It compares the SHA-256 of every
+Trends export, a CSV with named columns, or generic CSVs with CRLF line
+ends, quoted labels or blank lines. It compares the SHA-256 of every
 payload file it writes, its exit code and its stderr to the constants below.
 Regenerate the constants only in a change that states why the bytes change.
 The fit goes through LAPACK's SVD, so another BLAS build may change last
@@ -153,6 +154,29 @@ def named_columns_csv():
     return "note,sales,month\n" + "\n".join(rows) + "\n"
 
 
+def crlf_csv():
+    """The n=180 fixture as generic CSV with CRLF line ends."""
+    return to_generic_csv(generate_mono_peak(FIXTURES["n180"])).replace("\n", "\r\n")
+
+
+def quoted_labels_csv():
+    """A generic CSV whose header cells and period labels are all quoted."""
+    series = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18, seed=5))
+    rows = [f'"{label}",{value!r}' for label, value in zip(series.periods, series.demands.tolist())]
+    return '"period","demand"\n' + "\n".join(rows) + "\n"
+
+
+def blank_lines_csv():
+    """A generic CSV with blank and whitespace-only lines before, inside and after the rows."""
+    series = generate_mono_peak(MonoPeakSpec(n=96, peak_time=30, seed=9))
+    lines = ["", "period,demand"]
+    for i, (label, value) in enumerate(zip(series.periods, series.demands.tolist())):
+        if i % 17 == 5:
+            lines.append(["", " ", "\t,"][i % 3])
+        lines.append(f"{label},{value!r}")
+    return "\n".join(lines) + "\n\n \n"
+
+
 # Each case: the input text and the command run on it.
 INGEST_CASES = {
     "transactions": (transactions_log, ["evaluate", "--format", "transactions"]),
@@ -160,6 +184,9 @@ INGEST_CASES = {
                                        "--less-than-one", "as_zero"]),
     "fit_named_columns": (named_columns_csv, ["fit", "--date-column", "month",
                                               "--value-column", "sales"]),
+    "generic_crlf": (crlf_csv, ["evaluate"]),
+    "generic_quoted_labels": (quoted_labels_csv, ["evaluate"]),
+    "generic_blank_lines": (blank_lines_csv, ["evaluate"]),
 }
 
 INGEST_GOLDEN = {
@@ -174,6 +201,19 @@ INGEST_GOLDEN = {
     "fit_named_columns": (0, "", {
         "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
     }),
+    # The CLI reads files with universal newlines, so this equals ("evaluate", "n180").
+    "generic_crlf": (0, "", {
+        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
+        "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+    }),
+    "generic_quoted_labels": (0, "", {
+        "predictions.csv": "9cd4f00eceeb33fa92afa92fd02a17eeb2bf5c921171483d21a5e48a689f95f1",
+        "report.json": "572c51b20bcbf2e9b5063ffe766c1f46aab68c27902f06b52f4170a3b07dece0",
+    }),
+    "generic_blank_lines": (0, "", {
+        "predictions.csv": "5821a346abdb5a7bade984c9ab3c0a58449b1b3bf30b4f24f8c7821d339e502e",
+        "report.json": "70b0c4cd1a24349249e5649fe5fdb427745057a05a6344e6ea1c534f32c8de6c",
+    }),
 }
 
 
@@ -181,5 +221,5 @@ INGEST_GOLDEN = {
 def test_ingest_payload_bytes_and_exit_code_are_golden(tmp_path, case):
     text, command = INGEST_CASES[case]
     path = tmp_path / "input.csv"
-    path.write_text(text(), encoding="utf-8")
+    path.write_bytes(text().encode("utf-8"))
     assert run_main([*command, str(path)], tmp_path / "out") == INGEST_GOLDEN[case]

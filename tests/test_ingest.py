@@ -1,14 +1,16 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basscast import (
     BasscastError,
     EmptyInputError,
     FormatError,
+    MonoPeakSpec,
     ParameterError,
     ValidationError,
     parse_generic_csv,
@@ -16,9 +18,11 @@ from basscast import (
     parse_transactions_csv,
     to_generic_csv,
     TimeSeries,
+    generate_mono_peak,
+    ingest,
     monthly_periods,
 )
-from basscast.ingest import MAX_TRANSACTION_MONTHS
+from basscast.ingest import MAX_TRANSACTION_MONTHS, _split_series
 from basscast.synthetic import SplitMix64
 from oracles import compensated_sum, group_by_month, row_by_row_parse_generic_csv
 
@@ -102,6 +106,14 @@ class TestParseGoogleTrends:
     def test_range_bounds_accepted(self):
         series = parse_google_trends_csv(TRENDS_HEADER + "2010-01,0\n2010-02,100\n")
         assert np.array_equal(series.demands, [0.0, 100.0])
+
+    def test_non_ascii_digits_in_a_month_label_name_row(self):
+        # int() reads these Arabic-Indic digits as 2004 and 01; a label needs ASCII digits.
+        label = "\u0662\u0660\u0660\u0664-\u0660\u0661"
+        with pytest.raises(FormatError) as err:
+            parse_google_trends_csv(f"Month,x\n{label},5\n")
+        assert err.value.row == 2
+        assert str(err.value) == f"row 2: month label {label!r} is not YYYY-MM"
 
     def test_crlf_accepted(self):
         text = TRENDS_HEADER.replace("\n", "\r\n") + "2010-01,3\r\n2010-02,4\r\n"
@@ -236,6 +248,55 @@ def generic_csv_inputs(draw):
             _selector(draw, columns, "demand"))
 
 
+# Value cells without a comma, quote or line break, so a row stays one line of
+# as many commas as the header.
+_UNQUOTED_ODD_VALUE_CELLS = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "abc", "", " ", " 2.5 ", "\x1c1.5", "\u20037\u2003",
+    "1_0",
+])
+
+
+def _move_a_comma(draw, lines):
+    """The lines with one comma moved from one line to another: the cell count is kept."""
+    loser = draw(st.sampled_from([i for i, line in enumerate(lines) if "," in line]))
+    gainer = draw(st.sampled_from([i for i in range(len(lines)) if i != loser]))
+    lines[loser] = lines[loser].replace(",", "", 1)
+    lines[gainer] = "," + lines[gainer]
+    return lines
+
+
+@st.composite
+def split_path_csv_inputs(draw):
+    """(text, date_column, value_column) for a file parse_generic_csv may take whole:
+    no quotes, every line as wide as the header, one line end throughout. One
+    flaw in four makes it a file the split path must hand to the row loop: a
+    NUL, a bare CR, CR and CRLF ends mixed, or a comma moved between lines."""
+    columns = draw(st.permutations(["period", "demand", "note"]))
+    columns = columns[:draw(st.sampled_from([1, 2, 3, 3, 3, 3]))]
+    lines = [",".join(columns)]
+    label = 100
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        label += draw(st.sampled_from([1] * 60 + [0, -1]))
+        cells = {
+            "period": draw(st.sampled_from([f"p{label}"] * 6 + [f" p{label} ", f"\tp{label}"])),
+            "demand": draw(_UNQUOTED_ODD_VALUE_CELLS if draw(st.integers(0, 40)) == 0
+                           else _NUMBER_CELLS),
+            "note": draw(st.text(alphabet=" \tab0123456789.-e", max_size=6)),
+        }
+        lines.append(",".join(cells[c] for c in columns))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    flaw = draw(st.sampled_from(["none"] * 12 + ["nul", "bare cr", "mixed", "moved comma"]))
+    if flaw == "moved comma" and len(lines) > 2 and "," in lines[1]:
+        lines[1:] = _move_a_comma(draw, lines[1:])
+    text = end.join(lines) + draw(st.sampled_from([end, end, end, ""]))
+    if flaw == "mixed" and len(lines) > 2:
+        text = text.replace("\r\n", "\n").replace("\n", "\r", 1).replace("\n", "\r\n")
+    elif flaw in ("nul", "bare cr") and len(lines) > 1:
+        at = draw(st.integers(min_value=len(lines[0]) + 1, max_value=len(text)))
+        text = text[:at] + {"nul": "\0", "bare cr": "\r"}[flaw] + text[at:]
+    return (text, _selector(draw, columns, "period"), _selector(draw, columns, "demand"))
+
+
 def _outcome(parse, text, date_column, value_column):
     """A parsed series as plain values, or the error as (class, message, row)."""
     try:
@@ -245,10 +306,44 @@ def _outcome(parse, text, date_column, value_column):
     return series.periods, series.unit, series.demands.tobytes()
 
 
-@settings(max_examples=400)
-@given(generic_csv_inputs())
+@settings(max_examples=600)
+@given(generic_csv_inputs() | split_path_csv_inputs())
+# A comma moved between lines that leaves every cell converting and ascending,
+# and a body narrower than two selectors naming the same column.
+@example(("period,demand,note\n10,1,7\n11,2,7,13\n14,3\n", 0, 1))
+@example(("a,b,c\n1\n2\n3\n4\n", 2, 2))
 def test_one_pass_parser_matches_row_by_row_reference(inputs):
     assert _outcome(parse_generic_csv, *inputs) == _outcome(row_by_row_parse_generic_csv, *inputs)
+
+
+@given(split_path_csv_inputs(), st.integers(min_value=1, max_value=12))
+def test_split_path_changes_no_outcome_under_a_low_field_size_limit(inputs, limit):
+    # The reference raises a bare csv.Error for a long cell, so the parser is
+    # compared with itself reading every file through the row loop.
+    old = csv.field_size_limit(limit)
+    try:
+        outcome = _outcome(parse_generic_csv, *inputs)
+        with mock.patch.object(ingest, "_split_series", lambda *args: None):
+            assert outcome == _outcome(parse_generic_csv, *inputs)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_split_path_takes_a_written_generic_csv(monkeypatch, end):
+    # The whole-file path must take what basscast writes, or it is dead code.
+    series = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))
+    taken = []
+
+    def split_series(*args):
+        taken.append(_split_series(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(ingest, "_split_series", split_series)
+    parsed = parse_generic_csv(to_generic_csv(series).replace("\n", end))
+    assert len(taken) == 1 and taken[0] is parsed
+    assert parsed.periods == series.periods and parsed.unit == "demand"
+    assert parsed.demands.tobytes() == series.demands.tobytes()
 
 
 def transactions_log(rows):
@@ -316,6 +411,19 @@ class TestParseTransactionsCsv:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_transactions_csv("")
+
+    # The first row is a header only when it holds neither a count nor a timestamp.
+    @pytest.mark.parametrize("text,row", [
+        ("2020-01-01,many\n2020-02-01,3\n", 1),
+        ("2020-01-01,\n2020-02-01,3\n", 1),
+        ("\n 2020-01-01T10:00Z , many \n2020-02-01,3\n", 2),
+    ])
+    def test_headerless_log_with_a_bad_first_count_names_its_row(self, text, row):
+        with pytest.raises(FormatError) as err:
+            parse_transactions_csv(text)
+        assert err.value.row == row
+        cell = text.splitlines()[row - 1].split(",")[1].strip()
+        assert str(err.value) == f"row {row}: unparseable count cell {cell!r}"
 
     def test_with_header(self):
         series = parse_transactions_csv("timestamp,count\n2016-01-03,2\n2016-02-01,3\n")

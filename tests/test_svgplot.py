@@ -1,7 +1,6 @@
 import dataclasses
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from basscast import (
     render_comparison_svg,
     svgplot,
 )
-from oracles import numpy_scalar_polyline
+from oracles import numpy_scalar_comparison_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -77,19 +76,6 @@ _VALUES = st.one_of(
 )
 
 
-def _old_polyline(xs, ys, color, dash, label):
-    """numpy_scalar_polyline on the chart's numeric x coordinates.
-
-    render_comparison_svg passes each curve its x coordinates already
-    formatted; this ignores them and scales 0..n-1 across the plot area itself.
-    """
-    n = len(xs)
-    left = float(svgplot._MARGIN_LEFT)
-    right = float(svgplot.VIEW_WIDTH - svgplot._MARGIN_RIGHT)
-    numeric = svgplot._scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), left, right)
-    return numpy_scalar_polyline(numeric, ys, color, dash, label)
-
-
 @given(st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=3, max_size=3)))
 def test_svg_bytes_match_numpy_scalar_formatting(curves):
@@ -99,12 +85,13 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves):
     report = dataclasses.replace(compare_models(small, fit_quadratic(small), profile(small)),
                                  classical_predicted=np.array(classical),
                                  modified_predicted=np.array(modified))
-    svg = render_comparison_svg(series, report)
-    with mock.patch.object(svgplot, "_polyline", _old_polyline):
-        assert svg == render_comparison_svg(series, report)
-    xs, ys = np.array(classical), np.array(modified)
-    assert svgplot._polyline([f"{x:.3f}," for x in xs.tolist()], ys, "red", None, "c") == (
-        numpy_scalar_polyline(xs, ys, "red", None, "c"))
+    assert render_comparison_svg(series, report) == numpy_scalar_comparison_svg(series, report)
+
+
+# The polylines format each y with "%.3f" %; format(y, ".3f") is the reference.
+@given(st.floats())
+def test_percent_format_matches_format_spec(value):
+    assert "%.3f" % value == format(value, ".3f")
 
 
 @given(st.text(st.sampled_from("&<>\"';#a") | st.characters()))
