@@ -54,7 +54,8 @@ _FORMATS = ("generic", "trends", "transactions")
 
 
 def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
-    text = Path(path).read_text(encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # the parsers split CR/LF ends
+        text = fh.read()
     if args.format == "trends":
         return parse_google_trends_csv(text, args.less_than_one)
     if args.format == "transactions":

@@ -146,22 +146,6 @@ def _resolve_column(selector: str | int, header: list[str], row_num: int) -> int
     return stripped.index(selector)
 
 
-def _generic_row(row: list[str], row_num: int, date_idx: int, value_idx: int,
-                 previous: str | None) -> tuple[str, float]:
-    """The (label, value) of a non-blank generic data row, checked cell by cell.
-
-    This is the slow path of parse_generic_csv's row loop, for rows the
-    loop's inline fast path doubts; it raises the error that names the row's
-    first problem.
-    """
-    if len(row) <= max(date_idx, value_idx):
-        raise FormatError(f"row has {len(row)} columns, need {max(date_idx, value_idx) + 1}",
-                          row=row_num)
-    label = row[date_idx].strip()
-    _check_ascending(label, previous, row_num)
-    return label, _number(row[value_idx].strip(), row_num)
-
-
 def _split_series(body: str, date_idx: int, value_idx: int, unit: str) -> TimeSeries | None:
     """The series in the text after a generic CSV's header, read with str.split, or None.
 
@@ -224,24 +208,16 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
         series = _split_series(text[lines.tell():], date_idx, value_idx, unit)
         if series is not None:
             return series
-        previous = None
+        need = max(date_idx, value_idx) + 1
         for row in reader:
-            # Fast path: a row whose cells index, convert and ascend cleanly is taken
-            # as it stands; float(cell) accepts only what float(cell.strip()) accepts,
-            # with the same value. Every other non-blank row goes through _generic_row.
-            try:
-                label = row[date_idx].strip()
-                value = float(row[value_idx])
-            except (IndexError, ValueError):
-                if _blank(row):
-                    continue
-                label = None
-            if (label is None or not math.isfinite(value)
-                    or previous is not None and label <= previous):
-                label, value = _generic_row(row, reader.line_num, date_idx, value_idx, previous)
+            if _blank(row):
+                continue
+            if len(row) < need:
+                raise FormatError(f"row has {len(row)} columns, need {need}", row=reader.line_num)
+            label = row[date_idx].strip()
+            _check_ascending(label, periods[-1] if periods else None, reader.line_num)
             periods.append(label)
-            demands.append(value)
-            previous = label
+            demands.append(_number(row[value_idx].strip(), reader.line_num))
     if not periods:
         raise EmptyInputError("no data rows after the header")
     return TimeSeries(periods, demands, unit=unit)

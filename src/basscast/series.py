@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, ValidationError
+from .errors import EmptyInputError, ParameterError, ValidationError
 
 DEFAULT_START_PERIOD = "2004-01"
 
@@ -87,13 +87,15 @@ def mean_demand(series: TimeSeries) -> float:
     return total / len(series)
 
 
-# A calendar-month period label, "YYYY-MM" in ASCII digits; use with fullmatch.
-_MONTH_RE = re.compile(r"\d{4}-\d{2}", re.ASCII)
+# A calendar-month period label, "YYYY-MM" in ASCII digits with MM 01-12; use with fullmatch.
+_MONTH_RE = re.compile(r"\d{4}-(?:0[1-9]|1[0-2])", re.ASCII)
 
 
 def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:
-    """n consecutive \"YYYY-MM\" labels starting at ``start``."""
-    year, month = (int(part) for part in start.split("-"))
+    """n consecutive \"YYYY-MM\" labels starting at ``start``, which must be one."""
+    if not _MONTH_RE.fullmatch(start):
+        raise ParameterError(f"start period {start!r} is not a YYYY-MM month")
+    year, month = int(start[:4]), int(start[5:])
     labels = []
     for _ in range(n):
         labels.append(f"{year:04d}-{month:02d}")

@@ -28,6 +28,7 @@ from basscast import (
     ValidationError,
     errors,
     generate_mono_peak,
+    monthly_periods,
     to_generic_csv,
 )
 from basscast.cli import _exit_code_for, build_parser, main
@@ -130,6 +131,16 @@ class TestEvaluateCommand:
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         assert lines[0] == "period,actual,classical,modified"
         assert len(lines) == 1 + 180
+
+    def test_line_end_inside_a_quoted_label_is_kept(self, tmp_path):
+        mono = generate_mono_peak(MonoPeakSpec())
+        labels = ["a\r\nb", *(f"p{i:03d}" for i in range(1, len(mono)))]
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_bytes(to_generic_csv(TimeSeries(labels, mono.demands)).encode("utf-8"))
+        assert main(["evaluate", str(csv_path), "--output-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "predictions.csv").read_bytes().decode("utf-8")
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert [row[0] for row in read[1:]] == labels
 
     def test_sse_pair_diagnostic(self, capsys):
         code = main([
@@ -277,6 +288,19 @@ class TestForecastCommand:
                    (tmp_path / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]]
         assert written == [*labels, f"{labels[-1]}+0001", f"{labels[-1]}+0002"]
 
+    def test_month_number_past_12_gets_suffixes(self, tmp_path):
+        labels = [*monthly_periods(13, "2009-12"), "2010-13"]
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text("period,demand\n" + "".join(
+            f"{label},{v}\n" for label, v in zip(labels, [*range(1, 11), 5, 4, 3, 2])),
+            encoding="utf-8")
+        code = main(["forecast", str(csv_path), "--horizon", "2",
+                     "--variant", "classical", "--output-dir", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[-3:]] == [
+            "2010-13", "2010-13+0001", "2010-13+0002"]
+
     def test_labels_with_csv_metacharacters_read_back(self, tmp_path):
         labels = ['a,1', 'b"2', "c 3", "d\u00e94"]
         csv_path = tmp_path / "series.csv"
@@ -345,6 +369,13 @@ class TestSynthCommand:
         assert main(["synth", "--peak-time", "0",
                      "--output", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("start", ["foo", "2004-13"])
+    def test_start_period_that_is_not_a_month_exits_2(self, tmp_path, capsys, start):
+        assert main(["synth", "--start-period", start, "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: start period {start!r} is not a YYYY-MM month\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrendsAndTransactionsFormats:
     def test_trends_format(self, tmp_path):
@@ -395,6 +426,16 @@ class TestTrendsAndTransactionsFormats:
         assert capsys.readouterr().err == (
             "error: row 2: month label '\u0662\u0660\u0660\u0664-\u0660\u0661' "
             "is not YYYY-MM\n")
+
+    @pytest.mark.parametrize("label", ["2010-00", "2010-13"])
+    def test_trends_month_number_outside_01_to_12_exits_2(self, tmp_path, capsys, label):
+        csv_path = tmp_path / "trends.csv"
+        csv_path.write_text(f"Month,x\n2009-12,5\n{label},3\n", encoding="utf-8")
+        assert main(["evaluate", str(csv_path), "--format", "trends",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: row 3: month label {label!r} is not YYYY-MM\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stamp", ["20200115ab", "2020011599", "21880203Z+"])
     def test_trailing_junk_in_a_timestamp_exits_2(self, tmp_path, capsys, stamp):

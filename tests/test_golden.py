@@ -201,7 +201,7 @@ INGEST_GOLDEN = {
     "fit_named_columns": (0, "", {
         "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
     }),
-    # The CLI reads files with universal newlines, so this equals ("evaluate", "n180").
+    # The parser splits CRLF line ends itself, so this equals ("evaluate", "n180").
     "generic_crlf": (0, "", {
         "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
         "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",

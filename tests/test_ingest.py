@@ -115,6 +115,12 @@ class TestParseGoogleTrends:
         assert err.value.row == 2
         assert str(err.value) == f"row 2: month label {label!r} is not YYYY-MM"
 
+    @pytest.mark.parametrize("label", ["2010-00", "2010-13", "2010-99"])
+    def test_month_number_outside_01_to_12_names_row(self, label):
+        with pytest.raises(FormatError) as err:
+            parse_google_trends_csv(f"Month,x\n2009-12,5\n{label},3\n")
+        assert str(err.value) == f"row 3: month label {label!r} is not YYYY-MM"
+
     def test_crlf_accepted(self):
         text = TRENDS_HEADER.replace("\n", "\r\n") + "2010-01,3\r\n2010-02,4\r\n"
         series = parse_google_trends_csv(text)
@@ -312,6 +318,9 @@ def _outcome(parse, text, date_column, value_column):
 # and a body narrower than two selectors naming the same column.
 @example(("period,demand,note\n10,1,7\n11,2,7,13\n14,3\n", 0, 1))
 @example(("a,b,c\n1\n2\n3\n4\n", 2, 2))
+# Files that parse but that the split path refuses, so the row loop reads them.
+@example(('period,demand\n"a,1",1.5\n"b""2",2\n"c\r\n3", 4e-3 \n', 0, 1))
+@example(("period,demand\np1,1\n\n \np2,2\n", "period", "demand"))
 def test_one_pass_parser_matches_row_by_row_reference(inputs):
     assert _outcome(parse_generic_csv, *inputs) == _outcome(row_by_row_parse_generic_csv, *inputs)
 
@@ -329,10 +338,8 @@ def test_split_path_changes_no_outcome_under_a_low_field_size_limit(inputs, limi
         csv.field_size_limit(old)
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"])
-def test_split_path_takes_a_written_generic_csv(monkeypatch, end):
-    # The whole-file path must take what basscast writes, or it is dead code.
-    series = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))
+def _watch_split_series(monkeypatch):
+    """The list that each later _split_series call appends its result to."""
     taken = []
 
     def split_series(*args):
@@ -340,10 +347,31 @@ def test_split_path_takes_a_written_generic_csv(monkeypatch, end):
         return taken[-1]
 
     monkeypatch.setattr(ingest, "_split_series", split_series)
+    return taken
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_split_path_takes_a_written_generic_csv(monkeypatch, end):
+    # The whole-file path must take what basscast writes, or it is dead code.
+    series = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))
+    taken = _watch_split_series(monkeypatch)
     parsed = parse_generic_csv(to_generic_csv(series).replace("\n", end))
     assert len(taken) == 1 and taken[0] is parsed
     assert parsed.periods == series.periods and parsed.unit == "demand"
     assert parsed.demands.tobytes() == series.demands.tobytes()
+
+
+@pytest.mark.parametrize("flaw", ["quoted labels", "blank line"])
+def test_row_loop_reads_a_written_generic_csv_the_split_path_refuses(monkeypatch, flaw):
+    mono = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))
+    labels = [f"{p},x" for p in mono.periods] if flaw == "quoted labels" else mono.periods
+    series = TimeSeries(labels, mono.demands, unit="demand")
+    lines = to_generic_csv(series).split("\n")
+    if flaw == "blank line":
+        lines.insert(60, "")
+    taken = _watch_split_series(monkeypatch)
+    assert parse_generic_csv("\n".join(lines)) == series
+    assert taken == [None]
 
 
 def transactions_log(rows):

@@ -58,6 +58,11 @@ class TestMonthlyPeriods:
         labels = monthly_periods(250, "2004-01")
         assert list(labels) == sorted(labels)
 
+    @pytest.mark.parametrize("start", ["foo", "2004-00", "2004-13", "2004-1", "04-01", "2004-01 "])
+    def test_start_that_is_not_a_month_rejected(self, start):
+        with pytest.raises(ParameterError, match="is not a YYYY-MM month"):
+            monthly_periods(3, start)
+
 
 class TestGenerateBassSeries:
     def test_hand_recursion_trace(self, exact_coeffs):
