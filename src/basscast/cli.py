@@ -28,12 +28,13 @@ from . import __version__
 from .errors import (
     BasscastError,
     DegeneratePlotError,
+    FormatError,
     NonDiffusionShapeError,
     NoRealMarketSizeError,
 )
 from .evaluation import EvaluationReport, compare_models, improvement_percent
 from .fitting import derive_bass_parameters, fit_quadratic
-from .forecast import ForecastConfig, ModelVariant, forecast
+from .forecast import _MODES, ModelVariant, forecast
 from .ingest import (
     LESS_THAN_ONE_POLICIES,
     csv_text,
@@ -42,10 +43,10 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import _MONTH_RE, TimeSeries, monthly_periods
+from .series import _MONTH_RE, DEFAULT_START_PERIOD, TimeSeries, monthly_periods
 from .svgplot import render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
-from .tail import profile
+from .tail import DEFAULT_HEIGHT_FRACTION, DEFAULT_RATIO_SCALE, profile
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -54,8 +55,17 @@ _FORMATS = ("generic", "trends", "transactions")
 
 
 def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
-    with open(path, encoding="utf-8-sig", newline="") as fh:  # the parsers split CR/LF ends
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # One decode of the whole file makes the error's offset a file offset. Line ends are
+        # not translated: the parsers split CR, LF and CRLF themselves.
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]  # the file after any BOM, up to the bad byte
+        row = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"not UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})",
+                          row=row) from None
     if args.format == "trends":
         return parse_google_trends_csv(text, args.less_than_one)
     if args.format == "transactions":
@@ -116,17 +126,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     coeffs = fit_quadratic(series)
     tail = profile(series, args.height_fraction, args.tail_constant)
-    result = forecast(
-        series,
-        coeffs,
-        tail,
-        ForecastConfig(
-            mode=args.mode,
-            horizon=args.horizon,
-            clamp_nonnegative=args.clamp_nonnegative,
-            variant=args.variant,
-        ),
-    )
+    result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
+                      clamp_nonnegative=args.clamp_nonnegative, horizon=args.horizon)
+    # The labels can fail (past 9999-12), so they come before any file is written.
+    labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     out = Path(args.output_dir)
     _write_json(
         out / "forecast.json",
@@ -140,7 +143,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "predicted": result.predicted.tolist(),
         },
     )
-    labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     actuals = list(map(repr, series.demands.tolist())) + [""] * args.horizon
     predictions = csv_text(("period", "actual", "predicted"), labels, actuals,
                            map(repr, result.predicted.tolist()))
@@ -190,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"improvement_percent {improvement_percent(classical, modified)!r}")
         return EXIT_OK
     series = load_series(args.input, args)
-    modes = ("one_step", "simulated") if args.mode == "both" else (args.mode,)
+    modes = _MODES if args.mode == "both" else (args.mode,)
     _write_evaluation(Path(args.output_dir), series, _compare(series, args, modes))
     return EXIT_OK
 
@@ -287,10 +289,11 @@ def _add_model_flags(parser: argparse.ArgumentParser, modes: tuple[str, ...]) ->
                         help="forecast variant (default: auto = lowest in-sample SSE)")
     parser.add_argument("--mode", choices=modes, default="simulated",
                         help="prediction mode (default: simulated)")
-    parser.add_argument("--height-fraction", type=float, default=0.5,
-                        help="fraction of curve height where the tail starts (default: 0.5)")
-    parser.add_argument("--tail-constant", type=float, default=1.6,
-                        help="slope of the r1/r2 ratio formulas (default: 1.6)")
+    parser.add_argument("--height-fraction", type=float, default=DEFAULT_HEIGHT_FRACTION,
+                        help="fraction of curve height where the tail starts "
+                             "(default: %(default)s)")
+    parser.add_argument("--tail-constant", type=float, default=DEFAULT_RATIO_SCALE,
+                        help="slope of the r1/r2 ratio formulas (default: %(default)s)")
     parser.add_argument("--clamp-nonnegative", action="store_true",
                         help="floor predictions at zero before accumulation")
 
@@ -309,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    modes = ("one_step", "simulated")
 
     p = sub.add_parser("fit", help="fit the demand recursion and write fit.json")
     p.add_argument("input", help="input CSV file")
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="write forecast.json and predictions.csv")
     p.add_argument("input", help="input CSV file")
     _add_input_flags(p)
-    _add_model_flags(p, modes)
+    _add_model_flags(p, _MODES)
     p.add_argument("--horizon", type=int, default=0,
                    help="periods to predict beyond the data (default: 0)")
     p.set_defaults(run=cmd_forecast)
@@ -331,38 +333,37 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=("CLASSICAL", "MODIFIED"),
                         help="print the improvement percentage for a raw SSE pair and exit")
     _add_input_flags(p)
-    _add_model_flags(p, (*modes, "both"))
+    _add_model_flags(p, (*_MODES, "both"))
     p.set_defaults(run=cmd_evaluate)
 
     p = sub.add_parser("plot", help="write compare.svg for actual vs predictions")
     p.add_argument("input", help="input CSV file")
     _add_input_flags(p)
-    _add_model_flags(p, modes)
+    _add_model_flags(p, _MODES)
     p.set_defaults(run=cmd_plot)
 
     p = sub.add_parser("synth", help="generate a seeded mono-peak fixture CSV")
-    p.add_argument("--n", type=int, default=180, help="series length (default: 180)")
-    p.add_argument("--peak-time", type=int, default=24, help="peak index (default: 24)")
-    p.add_argument("--peak-height", type=float, default=100.0,
-                   help="demand at the peak (default: 100)")
-    p.add_argument("--decay-rate", type=float, default=0.2,
-                   help="exponential fall rate after the peak (default: 0.2)")
-    p.add_argument("--plateau-level", type=float, default=4.0,
-                   help="tail asymptote (default: 4)")
-    p.add_argument("--rise-shape", type=float, default=1.0,
-                   help="pre-peak power-curve exponent (default: 1)")
-    p.add_argument("--noise-amplitude", type=float, default=None,
+    p.add_argument("--n", type=int, help="series length (default: %(default)s)")
+    p.add_argument("--peak-time", type=int, help="peak index (default: %(default)s)")
+    p.add_argument("--peak-height", type=float, help="demand at the peak (default: %(default)g)")
+    p.add_argument("--decay-rate", type=float,
+                   help="exponential fall rate after the peak (default: %(default)g)")
+    p.add_argument("--plateau-level", type=float, help="tail asymptote (default: %(default)g)")
+    p.add_argument("--rise-shape", type=float,
+                   help="pre-peak power-curve exponent (default: %(default)g)")
+    p.add_argument("--noise-amplitude", type=float,
                    help="uniform noise half-width (default: 2%% of peak height)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    p.add_argument("--start-period", default="2004-01",
-                   help="first YYYY-MM label (default: 2004-01)")
+    p.add_argument("--seed", type=int, help="generator seed (default: %(default)s)")
+    p.add_argument("--start-period", help="first YYYY-MM label (default: %(default)s)")
     p.add_argument("--output", default="mono_peak.csv", help="output CSV path")
-    p.set_defaults(run=cmd_synth)
+    # The spec's own field defaults are the flags' defaults.
+    p.set_defaults(run=cmd_synth, start_period=DEFAULT_START_PERIOD,
+                   **{f.name: f.default for f in fields(MonoPeakSpec)})
 
     p = sub.add_parser("batch", help="evaluate + plot many inputs, one subdirectory each")
     p.add_argument("inputs", nargs="+", help="input CSV files")
     _add_input_flags(p)
-    _add_model_flags(p, modes)
+    _add_model_flags(p, _MODES)
     p.set_defaults(run=cmd_batch)
 
     return parser

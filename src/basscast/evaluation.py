@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError, UndefinedBaselineError
 from .fitting import QuadraticCoefficients
-from .forecast import ForecastConfig, ModelVariant, forecast
+from .forecast import ModelVariant, forecast
 from .series import TimeSeries
 from .tail import TailProfile
 
@@ -126,12 +126,13 @@ def compare_models(
     the correction hurts. A classical SSE that overflows float64 raises
     UndefinedBaselineError, as improvement_percent does.
     """
-    config = ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative)
     classical = None
-    if config.variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
+    if variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
         # Classical runs first, as in auto, so its divergence is the one raised.
-        classical = forecast(series, coeffs, tail, replace(config, variant=ModelVariant.CLASSICAL))
-    modified = forecast(series, coeffs, tail, config)
+        classical = forecast(series, coeffs, tail, mode=mode, variant=ModelVariant.CLASSICAL,
+                             clamp_nonnegative=clamp_nonnegative)
+    modified = forecast(series, coeffs, tail, mode=mode, variant=variant,
+                        clamp_nonnegative=clamp_nonnegative)
     if classical is None:
         classical = modified
     # forecast already computed each curve's SSE to choose among its candidates.

@@ -50,22 +50,6 @@ _AUTO_CANDIDATES = (
 _MODES = ("one_step", "simulated")
 
 
-@dataclass(frozen=True)
-class ForecastConfig:
-    mode: str = "simulated"
-    horizon: int = 0
-    clamp_nonnegative: bool = False
-    variant: ModelVariant = ModelVariant.AUTO
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.horizon < 0:
-            raise ParameterError(f"horizon must be >= 0, got {self.horizon}")
-        if not isinstance(self.variant, ModelVariant):
-            object.__setattr__(self, "variant", ModelVariant(self.variant))
-
-
 @dataclass(frozen=True, eq=False)
 class Candidate:
     """One variant's read-only in-sample curve, with what selection and the horizon need of it.
@@ -100,13 +84,12 @@ class ForecastResult:
 
 
 def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> float:
+    """The constant added to each prediction of one of the three candidate variants."""
     if variant is ModelVariant.CLASSICAL:
         return 0.0
     if variant is ModelVariant.MODIFIED_ADD:
         return tail.r1 * mean
-    if variant is ModelVariant.MODIFIED_SUBTRACT:
-        return -(tail.r2 * mean)
-    raise ParameterError(f"no correction defined for variant {variant}")
+    return -(tail.r2 * mean)
 
 
 def simulate(
@@ -151,7 +134,6 @@ def _candidate(
     series: TimeSeries,
     coeffs: QuadraticCoefficients,
     correction: float,
-    mode: str,
     clamp: bool,
     lagged: np.ndarray | None,
 ) -> Candidate:
@@ -161,7 +143,7 @@ def _candidate(
     None in simulated mode.
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    if mode == "one_step":
+    if lagged is not None:
         # Element-wise float64 operations in the kernel's order give the kernel's bits.
         with np.errstate(over="ignore", invalid="ignore"):
             curve = a + b * lagged + c * lagged * lagged + correction
@@ -187,32 +169,40 @@ def forecast(
     series: TimeSeries,
     coeffs: QuadraticCoefficients,
     tail: TailProfile,
-    config: ForecastConfig = ForecastConfig(),
+    *,
+    mode: str = "simulated",
+    variant: ModelVariant = ModelVariant.AUTO,
+    clamp_nonnegative: bool = False,
+    horizon: int = 0,
 ) -> ForecastResult:
     """Generate the predicted demand sequence for the observed range plus horizon.
 
     With variant ``auto`` the in-sample SSE of all three variants is computed
-    in the configured mode and the minimiser wins; ties break in the order
+    in the given mode and the minimiser wins; ties break in the order
     classical, modified_add, modified_subtract, so the correction is only
     applied when it strictly helps. The mean demand entering the correction is
     computed once from the observed series and frozen for the whole horizon.
     """
+    if mode not in _MODES:
+        raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
+    if horizon < 0:
+        raise ParameterError(f"horizon must be >= 0, got {horizon}")
+    variant = ModelVariant(variant)
     mean = mean_demand(series)
-    lagged = cumulative(series) if config.mode == "one_step" else None
-    clamp = config.clamp_nonnegative
-    variants = _AUTO_CANDIDATES if config.variant is ModelVariant.AUTO else (config.variant,)
-    candidates = {v: _candidate(series, coeffs, _correction_for(v, tail, mean), config.mode,
-                                clamp, lagged)
+    lagged = cumulative(series) if mode == "one_step" else None
+    variants = _AUTO_CANDIDATES if variant is ModelVariant.AUTO else (variant,)
+    candidates = {v: _candidate(series, coeffs, _correction_for(v, tail, mean), clamp_nonnegative,
+                                lagged)
                   for v in variants}
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
-    variant = min(candidates, key=lambda v: candidates[v].sse)
-    winner = candidates[variant]
+    chosen = min(candidates, key=lambda v: candidates[v].sse)
+    winner = candidates[chosen]
     predicted = winner.curve
-    if config.horizon:
+    if horizon:
         # Beyond the data the winner's recursion feeds on its own output.
         n = len(series)
         beyond, _ = simulate(float(coeffs.a), float(coeffs.b), float(coeffs.c), winner.correction,
-                             clamp, winner.running, range(n + 1, n + config.horizon + 1))
+                             clamp_nonnegative, winner.running, range(n + 1, n + horizon + 1))
         predicted = np.concatenate((predicted, beyond))
         predicted.flags.writeable = False
-    return ForecastResult(predicted, variant, MappingProxyType(candidates))
+    return ForecastResult(predicted, chosen, MappingProxyType(candidates))

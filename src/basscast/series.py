@@ -92,10 +92,15 @@ _MONTH_RE = re.compile(r"\d{4}-(?:0[1-9]|1[0-2])", re.ASCII)
 
 
 def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:
-    """n consecutive \"YYYY-MM\" labels starting at ``start``, which must be one."""
+    """n consecutive \"YYYY-MM\" labels starting at ``start``, which must be one.
+
+    The labels stop at 9999-12, the last month with a four-digit year.
+    """
     if not _MONTH_RE.fullmatch(start):
         raise ParameterError(f"start period {start!r} is not a YYYY-MM month")
     year, month = int(start[:4]), int(start[5:])
+    if year * 12 + month + n - 1 > 9999 * 12 + 12:
+        raise ParameterError(f"month labels stop at 9999-12; {n} from {start} would pass it")
     labels = []
     for _ in range(n):
         labels.append(f"{year:04d}-{month:02d}")

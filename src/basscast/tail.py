@@ -66,7 +66,15 @@ def compute_ratios(tail_per: float, scale: float = DEFAULT_RATIO_SCALE) -> tuple
     """
     if not 0.0 <= tail_per <= 1.0:
         raise ParameterError(f"tail_per must be in [0, 1], got {tail_per}")
-    r1 = math.ldexp(round(math.ldexp((tail_per - 0.5) * scale, 52)), -52)
+    raw = (tail_per - 0.5) * scale
+    # The snap scales r1 by 2**52, which overflows from 2**972 on; a NaN or infinite
+    # r1, from any non-finite scale, fails this test too.
+    if not abs(raw) < 2.0**972:
+        raise ParameterError(
+            f"ratio scale must be finite and small enough for r1 to snap to the 2**-52 grid, "
+            f"got {scale}"
+        )
+    r1 = math.ldexp(round(math.ldexp(raw, 52)), -52)
     r2 = 0.5 - r1
     return r1, r2
 

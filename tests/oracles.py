@@ -19,7 +19,6 @@ from basscast import (
     DivergenceError,
     EmptyInputError,
     EvaluationReport,
-    ForecastConfig,
     FormatError,
     ModelVariant,
     TimeSeries,
@@ -195,14 +194,17 @@ def two_call_compare_models(
         series,
         coeffs,
         tail,
-        ForecastConfig(mode=mode, variant=ModelVariant.CLASSICAL,
-                       clamp_nonnegative=clamp_nonnegative),
+        mode=mode,
+        variant=ModelVariant.CLASSICAL,
+        clamp_nonnegative=clamp_nonnegative,
     )
     modified = forecast(
         series,
         coeffs,
         tail,
-        ForecastConfig(mode=mode, variant=variant, clamp_nonnegative=clamp_nonnegative),
+        mode=mode,
+        variant=variant,
+        clamp_nonnegative=clamp_nonnegative,
     )
     sse_classical = sse(series, classical.predicted)
     sse_modified = sse(series, modified.predicted)

@@ -21,7 +21,6 @@ from basscast import (
     detect_tail_start,
     fit_quadratic,
     forecast,
-    ForecastConfig,
     generate_mono_peak,
     improvement_percent,
     mean_demand,
@@ -169,13 +168,13 @@ def test_c7_one_step_constant_offset_invariant():
         tail = profile(series)
         mean = mean_demand(series)
         classical = forecast(series, coeffs, tail,
-                             ForecastConfig(mode="one_step", variant=ModelVariant.CLASSICAL))
+                             mode="one_step", variant=ModelVariant.CLASSICAL)
         for variant, corr in (
             (ModelVariant.MODIFIED_ADD, tail.r1 * mean),
             (ModelVariant.MODIFIED_SUBTRACT, -(tail.r2 * mean)),
         ):
             modified = forecast(series, coeffs, tail,
-                                ForecastConfig(mode="one_step", variant=variant))
+                                mode="one_step", variant=variant)
             gap = np.abs(modified.predicted - classical.predicted - corr).max()
             assert gap < 1e-12, (trial, variant)
 
@@ -188,9 +187,9 @@ def test_c7_one_step_constant_offset_invariant():
     assert tail.tail_per == 0.5 and tail.r1 == 0.0
     coeffs = fit_quadratic(series)
     classical = forecast(series, coeffs, tail,
-                         ForecastConfig(mode="one_step", variant=ModelVariant.CLASSICAL))
+                         mode="one_step", variant=ModelVariant.CLASSICAL)
     added = forecast(series, coeffs, tail,
-                     ForecastConfig(mode="one_step", variant=ModelVariant.MODIFIED_ADD))
+                     mode="one_step", variant=ModelVariant.MODIFIED_ADD)
     assert np.array_equal(classical.predicted, added.predicted)
     ok("C7", "one-step offsets exact to 1e-12; zero-correction collapse is bitwise")
 

@@ -110,6 +110,18 @@ class TestFitCommand:
     def test_missing_input_exits_4(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("ends", [(b"\n", b"\n"), (b"\r\n", b"\r"), (b"\r", b"\r\n")])
+    def test_non_utf8_byte_exits_2_naming_its_row(self, tmp_path, capsys, bom, ends):
+        csv_path = tmp_path / "latin1.csv"
+        csv_path.write_bytes(bom + b"period,demand" + ends[0] + b"2020-01,1" + ends[1]
+                             + b"2020-02,\xe92\n")
+        code = main(["fit", str(csv_path), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: row 3: not UTF-8: invalid continuation byte (byte 0xe9)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_utf8_bom_header_is_stripped(self, tmp_path):
         csv_path = write_noiseless(tmp_path / "series.csv")
         csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
@@ -141,6 +153,17 @@ class TestEvaluateCommand:
         text = (tmp_path / "predictions.csv").read_bytes().decode("utf-8")
         read = list(csv.reader(io.StringIO(text, newline="")))
         assert [row[0] for row in read[1:]] == labels
+
+    @pytest.mark.parametrize("constant", ["nan", "inf", "-inf", "1e300"])
+    def test_tail_constant_that_gives_no_ratios_exits_2(self, tmp_path, capsys, constant):
+        csv_path = write_mono_peak(tmp_path / "series.csv")
+        code = main(["evaluate", str(csv_path), f"--tail-constant={constant}",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ratio scale must be finite and small enough for r1 to snap to the "
+            f"2**-52 grid, got {float(constant)}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_sse_pair_diagnostic(self, capsys):
         code = main([
@@ -252,6 +275,21 @@ class TestForecastCommand:
         assert first_horizon[1] == ""
         assert last_observed[0] == "2006-06"
         assert first_horizon[0] == "2006-07"
+
+    def test_horizon_past_9999_12_exits_2_before_writing(self, tmp_path, capsys):
+        demands = generate_bass_series(EXACT_COEFFS, 13).demands
+        csv_path = tmp_path / "late.csv"
+        csv_path.write_text(to_generic_csv(TimeSeries(monthly_periods(13, "9998-12"), demands)),
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["forecast", str(csv_path), "--horizon", "2", "--variant", "classical",
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: month labels stop at 9999-12; 3 from 9999-12 would pass it\n")
+        assert not out.exists()
+        assert main(["forecast", str(csv_path), "--variant", "classical",
+                     "--output-dir", str(out)]) == 0
 
     def test_auto_variant_recorded(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
@@ -377,6 +415,14 @@ class TestSynthCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_start_period_whose_labels_pass_9999_12_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--start-period", "9999-06", "--n", "24", "--peak-time", "6",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: month labels stop at 9999-12; 24 from 9999-06 would pass it\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrendsAndTransactionsFormats:
     def test_trends_format(self, tmp_path):
         rows = "".join(
@@ -466,6 +512,31 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "good.csv: ok" in out
         assert "bad.csv: failed" in out
+
+    def test_non_utf8_input_fails_alone(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"period,demand\n2020-01,1\n2020-02,\xe92\n")
+        good = write_mono_peak(tmp_path / "good.csv")
+        code = main(["batch", str(bad), str(good), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"{bad}: failed: row 3: not UTF-8: invalid continuation byte (byte 0xe9)",
+            f"{good}: ok",
+        ]
+        for name in ("report.json", "predictions.csv", "compare.svg"):
+            assert (tmp_path / "out" / "good" / name).exists()
+
+    @pytest.mark.parametrize("constant", ["nan", "1e300"])
+    def test_tail_constant_that_gives_no_ratios_fails_each_input(self, tmp_path, capsys,
+                                                               constant):
+        inputs = [str(write_mono_peak(tmp_path / f"s{i}.csv", seed=i)) for i in range(2)]
+        code = main(["batch", *inputs, "--tail-constant", constant,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        message = ("ratio scale must be finite and small enough for r1 to snap to the "
+                   f"2**-52 grid, got {float(constant)}")
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: failed: {message}" for path in inputs]
 
     @pytest.mark.parametrize("flags", [[], ["--mode", "one_step"], ["--clamp-nonnegative"],
                                        ["--variant", "modified_subtract"]])

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
-    ForecastConfig,
     ModelVariant,
     MonoPeakSpec,
     QuadraticCoefficients,
@@ -235,8 +234,8 @@ class TestOneForecastPassMatchesTwoCallReference:
         # from sse_modified; the reference recomputes them with sse() and rmse().
         assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
         try:
-            result = forecast(series, coeffs, tail, ForecastConfig(
-                mode=mode, variant=variant, clamp_nonnegative=clamp))
+            result = forecast(series, coeffs, tail,
+                              mode=mode, variant=variant, clamp_nonnegative=clamp)
         except DivergenceError:
             return
         assert result.candidates[result.variant_used].curve is result.predicted

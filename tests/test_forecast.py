@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
-    ForecastConfig,
     ModelVariant,
     MonoPeakSpec,
     ParameterError,
@@ -34,24 +33,37 @@ def make(demands):
     return TimeSeries(monthly_periods(len(demands)), demands)
 
 
-class TestForecastConfig:
-    def test_defaults(self):
-        config = ForecastConfig()
-        assert config.mode == "simulated"
-        assert config.horizon == 0
-        assert config.variant is ModelVariant.AUTO
-        assert not config.clamp_nonnegative
+class TestForecastSettings:
+    def test_defaults(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        tail = profile(mono_peak_series)
+        default = forecast(mono_peak_series, coeffs, tail)
+        spelled = forecast(mono_peak_series, coeffs, tail, mode="simulated",
+                           variant=ModelVariant.AUTO, clamp_nonnegative=False, horizon=0)
+        assert default.predicted.tobytes() == spelled.predicted.tobytes()
+        assert len(default.candidates) == 3
+        assert len(default.predicted) == len(mono_peak_series)
 
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            ForecastConfig(mode="backwards")
+    def test_settings_are_keyword_only(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(TypeError):
+            forecast(mono_peak_series, coeffs, profile(mono_peak_series), "simulated")
 
-    def test_bad_horizon(self):
-        with pytest.raises(ParameterError):
-            ForecastConfig(horizon=-1)
+    def test_bad_mode(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(ParameterError, match="mode must be one of .* got 'backwards'"):
+            forecast(mono_peak_series, coeffs, profile(mono_peak_series), mode="backwards")
 
-    def test_variant_coerced_from_string(self):
-        assert ForecastConfig(variant="classical").variant is ModelVariant.CLASSICAL
+    def test_bad_horizon(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
+            forecast(mono_peak_series, coeffs, profile(mono_peak_series), horizon=-1)
+
+    def test_variant_coerced_from_string(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        result = forecast(mono_peak_series, coeffs, profile(mono_peak_series), variant="classical")
+        assert result.variant_used is ModelVariant.CLASSICAL
+        assert tuple(result.candidates) == (ModelVariant.CLASSICAL,)
 
 
 class TestSimulatedMode:
@@ -59,7 +71,7 @@ class TestSimulatedMode:
         tail = profile(noiseless_series)
         result = forecast(
             noiseless_series, exact_coeffs, tail,
-            ForecastConfig(variant=ModelVariant.CLASSICAL),
+            variant=ModelVariant.CLASSICAL,
         )
         assert result.variant_used is ModelVariant.CLASSICAL
         assert result.correction_term == 0.0
@@ -78,7 +90,7 @@ class TestSimulatedMode:
         tail = profile(noiseless_series)
         result = forecast(
             noiseless_series, exact_coeffs, tail,
-            ForecastConfig(variant=ModelVariant.CLASSICAL, horizon=12),
+            variant=ModelVariant.CLASSICAL, horizon=12,
         )
         assert len(result.predicted) == len(noiseless_series) + 12
 
@@ -89,10 +101,10 @@ class TestSimulatedMode:
         tail = profile(series)
         result = forecast(
             series, coeffs, tail,
-            ForecastConfig(variant=ModelVariant.CLASSICAL, clamp_nonnegative=True),
+            variant=ModelVariant.CLASSICAL, clamp_nonnegative=True,
         )
         assert result.predicted.min() >= 0.0
-        raw = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.CLASSICAL))
+        raw = forecast(series, coeffs, tail, variant=ModelVariant.CLASSICAL)
         assert raw.predicted.min() < 0.0
 
     def test_divergence_guard_names_period(self):
@@ -101,7 +113,7 @@ class TestSimulatedMode:
         tail = profile(series)
         with pytest.raises(DivergenceError) as err:
             forecast(series, coeffs, tail,
-                     ForecastConfig(variant=ModelVariant.CLASSICAL, horizon=40))
+                     variant=ModelVariant.CLASSICAL, horizon=40)
         assert err.value.period is not None
         assert str(err.value.period) in str(err.value)
 
@@ -115,13 +127,13 @@ class TestOneStepMode:
             tail = profile(series)
             mean = mean_demand(series)
             classical = forecast(series, coeffs, tail,
-                                 ForecastConfig(mode="one_step", variant=ModelVariant.CLASSICAL))
+                                 mode="one_step", variant=ModelVariant.CLASSICAL)
             for variant, corr in (
                 (ModelVariant.MODIFIED_ADD, tail.r1 * mean),
                 (ModelVariant.MODIFIED_SUBTRACT, -(tail.r2 * mean)),
             ):
                 modified = forecast(series, coeffs, tail,
-                                    ForecastConfig(mode="one_step", variant=variant))
+                                    mode="one_step", variant=variant)
                 assert modified.correction_term == corr
                 gap = np.abs(modified.predicted - classical.predicted - corr)
                 assert gap.max() < 1e-12
@@ -135,9 +147,9 @@ class TestOneStepMode:
         coeffs = fit_quadratic(series)
         for mode in ("one_step", "simulated"):
             classical = forecast(series, coeffs, tail,
-                                 ForecastConfig(mode=mode, variant=ModelVariant.CLASSICAL))
+                                 mode=mode, variant=ModelVariant.CLASSICAL)
             added = forecast(series, coeffs, tail,
-                             ForecastConfig(mode=mode, variant=ModelVariant.MODIFIED_ADD))
+                             mode=mode, variant=ModelVariant.MODIFIED_ADD)
             assert np.array_equal(classical.predicted, added.predicted)
 
     def test_horizon_divergence_guard(self):
@@ -146,15 +158,14 @@ class TestOneStepMode:
         tail = profile(series)
         with pytest.raises(DivergenceError) as err:
             forecast(series, coeffs, tail,
-                     ForecastConfig(mode="one_step", variant=ModelVariant.CLASSICAL,
-                                    horizon=40))
+                     mode="one_step", variant=ModelVariant.CLASSICAL, horizon=40)
         assert err.value.period is not None and err.value.period > len(series)
 
     def test_horizon_switches_to_simulated_cumulative(self, noiseless_series, exact_coeffs):
         tail = profile(noiseless_series)
         result = forecast(
             noiseless_series, exact_coeffs, tail,
-            ForecastConfig(mode="one_step", variant=ModelVariant.CLASSICAL, horizon=3),
+            mode="one_step", variant=ModelVariant.CLASSICAL, horizon=3,
         )
         n = len(noiseless_series)
         total = float(np.sum(noiseless_series.demands))
@@ -176,13 +187,13 @@ class TestAutoSelection:
             tail = profile(series)
             for mode in ("one_step", "simulated"):
                 auto = forecast(series, coeffs, tail,
-                                ForecastConfig(mode=mode, variant=ModelVariant.AUTO))
+                                mode=mode, variant=ModelVariant.AUTO)
                 auto_sse = sse(series, auto.predicted)
                 assert auto.variant_used is not ModelVariant.AUTO
                 for variant in (ModelVariant.CLASSICAL, ModelVariant.MODIFIED_ADD,
                                 ModelVariant.MODIFIED_SUBTRACT):
                     other = forecast(series, coeffs, tail,
-                                     ForecastConfig(mode=mode, variant=variant))
+                                     mode=mode, variant=variant)
                     assert auto_sse <= sse(series, other.predicted) + 1e-9
 
     def test_modified_wins_on_default_mono_peak_family(self):
@@ -190,9 +201,9 @@ class TestAutoSelection:
         coeffs = fit_quadratic(series)
         tail = profile(series)
         assert tail.tail_per >= 0.6
-        auto = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.AUTO))
+        auto = forecast(series, coeffs, tail, variant=ModelVariant.AUTO)
         classical = forecast(series, coeffs, tail,
-                             ForecastConfig(variant=ModelVariant.CLASSICAL))
+                             variant=ModelVariant.CLASSICAL)
         assert auto.variant_used in (ModelVariant.MODIFIED_ADD, ModelVariant.MODIFIED_SUBTRACT)
         assert sse(series, auto.predicted) < sse(series, classical.predicted)
 
@@ -210,7 +221,7 @@ class TestAutoSelection:
         coeffs = fit_quadratic(mono_peak_series)
         tail = profile(mono_peak_series)
         result = forecast(mono_peak_series, coeffs, tail,
-                          ForecastConfig(variant=variant, horizon=horizon))
+                          variant=variant, horizon=horizon)
         assert len(calls) == curves
         expected = ((ModelVariant.CLASSICAL, ModelVariant.MODIFIED_ADD,
                      ModelVariant.MODIFIED_SUBTRACT) if variant is ModelVariant.AUTO
@@ -237,9 +248,9 @@ class TestAutoSelection:
             coeffs = fit_quadratic(series)
         except SingularFitError:
             assume(False)
-        config = ForecastConfig(mode=mode, clamp_nonnegative=clamp, variant=variant)
         try:
-            result = forecast(series, coeffs, profile(series), config)
+            result = forecast(series, coeffs, profile(series), mode=mode,
+                              clamp_nonnegative=clamp, variant=variant)
         except DivergenceError:
             return
         for candidate in result.candidates.values():
@@ -256,7 +267,7 @@ class TestAutoSelection:
         # Every candidate is finite, but squaring its ~1e200 residuals overflows.
         series = make([10, 80, 400, 2000])
         coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
-        result = forecast(series, coeffs, profile(series), ForecastConfig(mode="one_step"))
+        result = forecast(series, coeffs, profile(series), mode="one_step")
         assert {v: candidate.sse for v, candidate in result.candidates.items()} == {
             ModelVariant.CLASSICAL: float("inf"),
             ModelVariant.MODIFIED_ADD: float("inf"),
@@ -269,7 +280,7 @@ class TestAutoSelection:
         series = make([1, 2, 10, 6, 6, 4, 4, 4, 4, 4])
         tail = profile(series)
         coeffs = fit_quadratic(series)
-        result = forecast(series, coeffs, tail, ForecastConfig(variant=ModelVariant.AUTO))
+        result = forecast(series, coeffs, tail, variant=ModelVariant.AUTO)
         if result.correction_term == 0.0:
             assert result.variant_used is not ModelVariant.MODIFIED_ADD
 
@@ -283,8 +294,8 @@ def outcome(generate, *args):
 
 
 def forecast_curve(series, coeffs, tail, variant, mode, horizon, clamp):
-    config = ForecastConfig(mode=mode, horizon=horizon, clamp_nonnegative=clamp, variant=variant)
-    return forecast(series, coeffs, tail, config).predicted
+    return forecast(series, coeffs, tail, mode=mode, horizon=horizon, clamp_nonnegative=clamp,
+                    variant=variant).predicted
 
 
 def simulated(a, b, c, correction, clamp, running, periods):
@@ -371,9 +382,9 @@ class TestKernelMatchesPerStepReference:
         series = generate_mono_peak(MonoPeakSpec(seed=3))
         coeffs = fit_quadratic(series)
         tail = profile(series)
-        auto = forecast(series, coeffs, tail, ForecastConfig(mode=mode, horizon=horizon))
+        auto = forecast(series, coeffs, tail, mode=mode, horizon=horizon)
         direct = forecast(series, coeffs, tail,
-                          ForecastConfig(mode=mode, horizon=horizon, variant=auto.variant_used))
+                          mode=mode, horizon=horizon, variant=auto.variant_used)
         assert len(auto.predicted) == len(series) + horizon
         assert auto.predicted.tobytes() == direct.predicted.tobytes()
         assert not auto.predicted.flags.writeable

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from basscast import (
     EmptyInputError,
+    ParameterError,
     TimeSeries,
     ValidationError,
     cumulative,
@@ -129,3 +130,18 @@ class TestMeanDemand:
     def test_mean_within_range(self, demands):
         value = mean_demand(make(demands))
         assert min(demands) - 1e-9 <= value <= max(demands) + 1e-9
+
+
+class TestMonthlyPeriods:
+    def test_steps_over_the_year_end(self):
+        assert monthly_periods(3, "2019-11") == ("2019-11", "2019-12", "2020-01")
+
+    def test_last_label_may_be_9999_12(self):
+        assert monthly_periods(7, "9999-06")[-1] == "9999-12"
+        assert monthly_periods(120, "9990-01")[-1] == "9999-12"
+
+    @pytest.mark.parametrize("n,start", [(8, "9999-06"), (2, "9999-12"), (121, "9990-01")])
+    def test_labels_past_9999_12_raise(self, n, start):
+        with pytest.raises(ParameterError) as err:
+            monthly_periods(n, start)
+        assert str(err.value) == f"month labels stop at 9999-12; {n} from {start} would pass it"

@@ -109,12 +109,12 @@ class TestGenerateBassSeries:
     def test_simulated_forecast_is_exact_inverse(self, exact_coeffs):
         # the generator and the simulated-mode forecaster share the recursion,
         # so reproduction is bit-for-bit, not merely close
-        from basscast import ForecastConfig, ModelVariant, forecast, profile
+        from basscast import ModelVariant, forecast, profile
 
         series = generate_bass_series(exact_coeffs, 40)
         result = forecast(
             series, exact_coeffs, profile(series),
-            ForecastConfig(variant=ModelVariant.CLASSICAL),
+            variant=ModelVariant.CLASSICAL,
         )
         assert np.array_equal(result.predicted, series.demands)
 
@@ -202,8 +202,8 @@ class TestGenerateMonoPeak:
 # basscast.synthetic only.
 PUBLIC_NAMES = {
     "BassParameters", "BasscastError", "DIVERGENCE_GUARD", "DegeneratePlotError",
-    "DivergenceError", "EmptyInputError", "EvaluationReport", "ForecastConfig",
-    "ForecastResult", "FormatError", "InsufficientDataError",
+    "DivergenceError", "EmptyInputError", "EvaluationReport", "ForecastResult",
+    "FormatError", "InsufficientDataError",
     "ModelVariant", "MonoPeakSpec", "NoRealMarketSizeError", "NonDiffusionShapeError",
     "ParameterError", "QuadraticCoefficients", "ShapeError", "SingularFitError",
     "TailProfile", "TimeSeries", "UndefinedBaselineError", "ValidationError",

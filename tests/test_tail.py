@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,20 @@ class TestComputeRatios:
         r1, r2 = compute_ratios(0.75, scale=2.0)
         assert r1 == pytest.approx(0.5, abs=1e-12)
         assert r1 + r2 == 0.5
+
+    @pytest.mark.parametrize("tail_per,scale", [
+        (0.75, math.nan), (0.75, math.inf), (0.75, -math.inf), (0.5, math.inf), (0.5, math.nan),
+        (0.75, 1e300), (0.0, 2.0**973),
+    ])
+    def test_scale_that_cannot_snap_raises(self, tail_per, scale):
+        with pytest.raises(ParameterError,
+                           match=rf"^ratio scale must be finite .* got {re.escape(str(scale))}$"):
+            compute_ratios(tail_per, scale)
+
+    def test_largest_snappable_r1_is_kept(self):
+        # r1 = 0.5 * scale just below 2**972, the last value whose 2**52 multiple is finite.
+        scale = math.nextafter(2.0**973, 0.0)
+        assert compute_ratios(1.0, scale)[0] == 0.5 * scale
 
 
 class TestProfile:
