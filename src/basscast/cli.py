@@ -126,10 +126,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     coeffs = fit_quadratic(series)
     tail = profile(series, args.height_fraction, args.tail_constant)
+    # The labels can fail (past 9999-12), so they come before the horizon is generated.
+    labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
                       clamp_nonnegative=args.clamp_nonnegative, horizon=args.horizon)
-    # The labels can fail (past 9999-12), so they come before any file is written.
-    labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     out = Path(args.output_dir)
     _write_json(
         out / "forecast.json",

@@ -83,7 +83,10 @@ class ShapeError(BasscastError):
 
 
 class UndefinedBaselineError(BasscastError):
-    """Improvement percentage is undefined for a non-positive or non-finite baseline SSE."""
+    """Improvement percentage is undefined for this baseline or modified SSE.
+
+    The baseline must be positive and finite, the modified SSE non-negative and finite.
+    """
 
     exit_code = 3
 

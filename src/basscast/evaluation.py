@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeError, UndefinedBaselineError
 from .fitting import QuadraticCoefficients
-from .forecast import ModelVariant, forecast
+from .forecast import ModelVariant, _as_variant, forecast
 from .series import TimeSeries
 from .tail import TailProfile
 
@@ -65,12 +65,18 @@ def sse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> flo
 def improvement_percent(sse_classical: float, sse_modified: float) -> float:
     """Relative SSE reduction of the modified model, in percent of the classical SSE.
 
-    The baseline must be positive and finite: an SSE that overflowed float64
-    is inf, and inf - inf or x / inf would give NaN, which report.json cannot hold.
+    The baseline must be positive and finite, and the modified SSE, a sum of
+    squares, non-negative and finite. An SSE that overflowed float64 is inf;
+    inf - inf or x / inf gives NaN and x - inf gives -inf, which report.json
+    cannot hold.
     """
     if not 0.0 < sse_classical < math.inf:
         raise UndefinedBaselineError(
             f"improvement is undefined for baseline SSE {sse_classical}"
+        )
+    if not 0.0 <= sse_modified < math.inf:
+        raise UndefinedBaselineError(
+            f"improvement is undefined for modified SSE {sse_modified}"
         )
     return (sse_classical - sse_modified) / sse_classical * 100.0
 
@@ -126,6 +132,7 @@ def compare_models(
     the correction hurts. A classical SSE that overflows float64 raises
     UndefinedBaselineError, as improvement_percent does.
     """
+    variant = _as_variant(variant)
     classical = None
     if variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
         # Classical runs first, as in auto, so its divergence is the one raised.

@@ -50,6 +50,15 @@ _AUTO_CANDIDATES = (
 _MODES = ("one_step", "simulated")
 
 
+def _as_variant(variant: ModelVariant | str) -> ModelVariant:
+    """The ModelVariant that variant is or names; any other value raises ParameterError."""
+    try:
+        return ModelVariant(variant)
+    except ValueError:
+        raise ParameterError(f"variant must be one of {tuple(v.value for v in ModelVariant)}, "
+                             f"got {variant!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Candidate:
     """One variant's read-only in-sample curve, with what selection and the horizon need of it.
@@ -187,7 +196,7 @@ def forecast(
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    variant = ModelVariant(variant)
+    variant = _as_variant(variant)
     mean = mean_demand(series)
     lagged = cumulative(series) if mode == "one_step" else None
     variants = _AUTO_CANDIDATES if variant is ModelVariant.AUTO else (variant,)

@@ -6,16 +6,19 @@ Three formats are supported:
   "Category: ..." line and a blank line), a header row ``Month,<term>: (<region>)``,
   then ``YYYY-MM,<value>`` rows where the value is 0-100 or the literal "<1".
 * Generic CSV with one header row; period and value columns are selected by
-  name or 0-based index. RFC-4180 quoting is honoured.
+  name or 0-based index. RFC-4180 quoting is honoured. A file that str.split
+  cuts into the cells csv.reader would, header included, is read whole
+  (_split_series); any other is read row by row.
 * Transaction logs with (ISO-8601 timestamp, count) columns, aggregated to a
   monthly series. A timestamp is what datetime.fromisoformat reads, or that
   with a trailing "Z"; months without transactions inside the observed span are
   emitted with demand 0 so cumulative demand stays defined over real time.
   The span may not pass MAX_TRANSACTION_MONTHS.
 
-Row numbers in error messages, and in the errors' ``row`` attribute, are
-1-based and count every physical line, header, metadata and blank lines
-included.
+Every row-by-row read walks _rows, which skips blank rows (no cells, or only
+whitespace in them). Row numbers in error messages, and in the errors'
+``row`` attribute, are 1-based and count every physical line, header,
+metadata and blank lines included.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import io
 import itertools
 import math
 import re
-from contextlib import contextmanager
 from datetime import datetime
 from typing import Iterable, Iterator, Sequence
 
@@ -38,30 +40,20 @@ LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
 MAX_TRANSACTION_MONTHS = 1200
 
 
-@contextmanager
-def _csv_reader(lines: io.StringIO) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over lines whose csv.Error becomes a FormatError naming the line.
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(physical line, cells) for each row of text with a cell that is not all whitespace.
 
-    lines is a StringIO opened with newline="", so it splits lines where
+    The StringIO is opened with newline="", so it splits lines where
     csv.reader does. csv.reader raises csv.Error for a cell longer than
-    csv.field_size_limit().
+    csv.field_size_limit(); that becomes a FormatError naming the line.
     """
-    reader = csv.reader(lines)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield reader
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
     except csv.Error as exc:
         raise FormatError(f"unreadable CSV: {exc}", row=reader.line_num) from None
-
-
-def _rows(text: str) -> Iterable[tuple[int, list[str]]]:
-    with _csv_reader(io.StringIO(text, newline="")) as reader:
-        for row in reader:
-            yield reader.line_num, row
-
-
-def _blank(row: list[str]) -> bool:
-    """True for a row with no cells or only whitespace in its cells."""
-    return not "".join(row).strip()
 
 
 def _check_ascending(label: str, previous: str | None, row_num: int) -> None:
@@ -90,26 +82,21 @@ def parse_google_trends_csv(text: str, less_than_one: str = "as_half") -> TimeSe
         raise ParameterError(f"less_than_one must be one of {sorted(LESS_THAN_ONE_POLICIES)}, "
                              f"got {less_than_one!r}")
     censored = LESS_THAN_ONE_POLICIES[less_than_one]
+    rows = _rows(text)
+    for line_num, row in rows:
+        first = row[0].strip()
+        if first == "Month":
+            break
+        if _MONTH_RE.fullmatch(first):
+            raise FormatError(f"data row {first!r} appeared before the 'Month' header",
+                              row=line_num)
+        # Otherwise a metadata line, e.g. "Category: ...".
+    else:
+        raise FormatError("no 'Month' header row found")
+    header_term = row[1].strip() if len(row) > 1 else None
     periods: list[str] = []
     demands: list[float] = []
-    header_term = None
-    in_data = False
-    for line_num, row in _rows(text):
-        if not in_data:
-            if _blank(row):
-                continue
-            first = row[0].strip()
-            if first == "Month":
-                header_term = row[1].strip() if len(row) > 1 else None
-                in_data = True
-                continue
-            if _MONTH_RE.fullmatch(first):
-                raise FormatError(
-                    f"data row {first!r} appeared before the 'Month' header", row=line_num
-                )
-            continue  # metadata line, e.g. "Category: ..."
-        if _blank(row):
-            continue
+    for line_num, row in rows:
         if len(row) < 2:
             raise FormatError(f"expected 'YYYY-MM,value', got {row!r}", row=line_num)
         label = row[0].strip()
@@ -125,8 +112,6 @@ def parse_google_trends_csv(text: str, less_than_one: str = "as_half") -> TimeSe
                 raise FormatError(f"trend value {cell!r} is outside 0-100", row=line_num)
         periods.append(label)
         demands.append(value)
-    if not in_data:
-        raise FormatError("no 'Month' header row found")
     if not periods:
         raise EmptyInputError("no data rows after the header")
     unit = "trend-index" if not header_term else f"trend-index: {header_term}"
@@ -146,41 +131,48 @@ def _resolve_column(selector: str | int, header: list[str], row_num: int) -> int
     return stripped.index(selector)
 
 
-def _split_series(body: str, date_idx: int, value_idx: int, unit: str) -> TimeSeries | None:
-    """The series in the text after a generic CSV's header, read with str.split, or None.
+def _split_series(text: str, date_column: str | int, value_column: str | int) -> TimeSeries | None:
+    """The series in a generic CSV read with str.split, header included, or None.
 
-    This is the whole-file path of parse_generic_csv. It takes only a body
+    This is the whole-file path of parse_generic_csv. It takes only a text
     where str.split cuts the cells csv.reader would: no '"', no NUL (which
-    csv.reader rejects before Python 3.11), every CR part of a CRLF, every
-    line holding as many commas as the first and enough cells for both
-    columns, and no line longer than csv.field_size_limit(). It returns None
-    for any other body, and for one whose cells do not convert or whose
-    series does not validate; the row loop then reads the body and names
-    the row at fault.
+    csv.reader rejects before Python 3.11), every CR part of a CRLF, a first
+    line that is the header (not blank) and names both columns, every line
+    holding as many commas as the header, and no line longer than
+    csv.field_size_limit(). It returns None for any other text, and for one
+    whose cells do not convert or whose series does not validate; the row
+    loop then reads the text and names the row at fault.
     """
-    if '"' in body or "\0" in body:
+    if '"' in text or "\0" in text:
         return None
-    if "\r" in body:
-        body = body.replace("\r\n", "\n")
-        if "\r" in body:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
             return None
-    body = body.rstrip("\n")  # blank lines at the end, which the row loop skips too
-    if not body:
+    text = text.rstrip("\n")  # blank lines at the end, which the row loop skips too
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if len(lines) < 2 or not "".join(header).strip():
         return None
-    lines = body.split("\n")
     limit = csv.field_size_limit()
-    if len(body) > limit and max(map(len, lines)) > limit:
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    commas = lines[0].count(",")
-    if (commas < max(date_idx, value_idx)
-            or set(map(str.count, lines, itertools.repeat(","))) != {commas}):
+    commas = len(header) - 1
+    if set(map(str.count, lines, itertools.repeat(","))) != {commas}:
+        return None
+    try:
+        date_idx = _resolve_column(date_column, header, 1)
+        value_idx = _resolve_column(value_column, header, 1)
+    except FormatError:
         return None
     del lines  # freed before the cells are built, to lower a large file's peak memory
-    cells = body.replace("\n", ",").split(",")
+    cells = text.replace("\n", ",").split(",")
+    step = commas + 1
     try:
         # TimeSeries checks in C-level passes that the values are finite and the labels ascend.
-        return TimeSeries(map(str.strip, cells[date_idx::commas + 1]),
-                          list(map(float, cells[value_idx::commas + 1])), unit=unit)
+        return TimeSeries(map(str.strip, cells[step + date_idx::step]),
+                          list(map(float, cells[step + value_idx::step])),
+                          unit=header[value_idx].strip() or "unitless")
     except (ValueError, ValidationError):
         return None
 
@@ -190,37 +182,32 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
     """Parse a CSV with one header row into a series of (period label, numeric demand).
 
     date_column and value_column select the two columns by header name or
-    0-based index. A body _split_series reads is taken whole; any other is
+    0-based index. A text _split_series reads is taken whole; any other is
     read row by row.
     """
+    series = _split_series(text, date_column, value_column)
+    if series is not None:
+        return series
+    rows = _rows(text)
+    for header_num, header in rows:
+        break
+    else:
+        raise FormatError("no header row found; file has no data rows")
+    date_idx = _resolve_column(date_column, header, header_num)
+    value_idx = _resolve_column(value_column, header, header_num)
+    need = max(date_idx, value_idx) + 1
     periods: list[str] = []
     demands: list[float] = []
-    lines = io.StringIO(text, newline="")
-    with _csv_reader(lines) as reader:
-        for header in reader:
-            if not _blank(header):
-                break
-        else:
-            raise FormatError("no header row found; file has no data rows")
-        date_idx = _resolve_column(date_column, header, reader.line_num)
-        value_idx = _resolve_column(value_column, header, reader.line_num)
-        unit = header[value_idx].strip() or "unitless"
-        series = _split_series(text[lines.tell():], date_idx, value_idx, unit)
-        if series is not None:
-            return series
-        need = max(date_idx, value_idx) + 1
-        for row in reader:
-            if _blank(row):
-                continue
-            if len(row) < need:
-                raise FormatError(f"row has {len(row)} columns, need {need}", row=reader.line_num)
-            label = row[date_idx].strip()
-            _check_ascending(label, periods[-1] if periods else None, reader.line_num)
-            periods.append(label)
-            demands.append(_number(row[value_idx].strip(), reader.line_num))
+    for line_num, row in rows:
+        if len(row) < need:
+            raise FormatError(f"row has {len(row)} columns, need {need}", row=line_num)
+        label = row[date_idx].strip()
+        _check_ascending(label, periods[-1] if periods else None, line_num)
+        periods.append(label)
+        demands.append(_number(row[value_idx].strip(), line_num))
     if not periods:
         raise EmptyInputError("no data rows after the header")
-    return TimeSeries(periods, demands, unit=unit)
+    return TimeSeries(periods, demands, unit=header[value_idx].strip() or "unitless")
 
 
 def _month(cell: str) -> str | None:
@@ -261,8 +248,6 @@ def parse_transactions_csv(text: str) -> TimeSeries:
     buckets: dict[str, float] = {}
     first = True
     for line_num, row in _rows(text):
-        if _blank(row):
-            continue
         if len(row) < 2:
             raise FormatError(f"expected 'timestamp,count', got {row!r}", row=line_num)
         if first:

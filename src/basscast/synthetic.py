@@ -57,6 +57,11 @@ class MonoPeakSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every range comparison below, so non-finite floats are caught first.
+        for name in ("peak_height", "decay_rate", "plateau_level", "rise_shape", "noise_amplitude"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not 0 < self.peak_time < self.n:
             raise ParameterError(
                 f"peak_time must lie strictly inside the series: 0 < {self.peak_time} < {self.n}"

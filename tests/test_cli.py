@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,11 +22,13 @@ from basscast import (
     NonDiffusionShapeError,
     NoRealMarketSizeError,
     ParameterError,
+    QuadraticCoefficients,
     ShapeError,
     SingularFitError,
     TimeSeries,
     UndefinedBaselineError,
     ValidationError,
+    cli,
     errors,
     generate_mono_peak,
     monthly_periods,
@@ -88,6 +91,17 @@ class TestFitCommand:
         assert (payload["bass_parameters"] is None) == (
             payload["derivation_error"] is not None
         )
+
+    def test_fit_with_no_real_market_size_is_written(self, tmp_path):
+        # c < 0 passes the first diffusion gate; a < 0 makes b*b - 4*a*c negative.
+        coeffs = QuadraticCoefficients(a=-10.0, b=0.1, c=-0.001, residual_sse=0.0, n_obs=0)
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text(to_generic_csv(generate_bass_series(coeffs, 12)), encoding="utf-8")
+        assert main(["fit", str(csv_path), "--output-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert payload["c"] < 0.0 and payload["b"] ** 2 - 4.0 * payload["a"] * payload["c"] < 0.0
+        assert payload["bass_parameters"] is None
+        assert payload["derivation_error"] == "no_real_market_size"
 
     def test_too_few_rows_exits_3(self, tmp_path):
         csv_path = tmp_path / "short.csv"
@@ -184,6 +198,13 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "baseline SSE inf" in captured.err
+
+    @pytest.mark.parametrize("modified", ["nan", "inf", "-5"])
+    def test_sse_pair_with_bad_modified_sse_exits_3(self, capsys, modified):
+        assert main(["evaluate", "--sse-pair", "1", modified]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"modified SSE {float(modified)}" in captured.err
 
     def test_mode_both_reports_twice(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
@@ -290,6 +311,21 @@ class TestForecastCommand:
         assert not out.exists()
         assert main(["forecast", str(csv_path), "--variant", "classical",
                      "--output-dir", str(out)]) == 0
+
+    def test_horizon_labels_are_checked_before_the_forecast_runs(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # A horizon of millions past 9999-12 fails on its labels, without generating it first.
+        demands = generate_bass_series(EXACT_COEFFS, 13).demands
+        csv_path = tmp_path / "late.csv"
+        csv_path.write_text(to_generic_csv(TimeSeries(monthly_periods(13, "9998-12"), demands)),
+                            encoding="utf-8")
+        monkeypatch.setattr(cli, "forecast", mock.Mock(side_effect=AssertionError("forecast ran")))
+        code = main(["forecast", str(csv_path), "--horizon", "3000000", "--variant", "classical",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: month labels stop at 9999-12; 3000001 from 9999-12 would pass it\n")
+        assert not (tmp_path / "out").exists()
 
     def test_auto_variant_recorded(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
@@ -406,6 +442,13 @@ class TestSynthCommand:
     def test_invalid_spec_exits_2(self, tmp_path):
         assert main(["synth", "--peak-time", "0",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("flag,name,value", [("--decay-rate", "decay_rate", "nan"),
+                                                 ("--peak-height", "peak_height", "inf")])
+    def test_non_finite_spec_field_exits_2_naming_it(self, tmp_path, capsys, flag, name, value):
+        assert main(["synth", flag, value, "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("start", ["foo", "2004-13"])
     def test_start_period_that_is_not_a_month_exits_2(self, tmp_path, capsys, start):

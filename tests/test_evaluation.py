@@ -8,6 +8,7 @@ from basscast import (
     DivergenceError,
     ModelVariant,
     MonoPeakSpec,
+    ParameterError,
     QuadraticCoefficients,
     ShapeError,
     SingularFitError,
@@ -89,6 +90,12 @@ class TestImprovementPercent:
         with pytest.raises(UndefinedBaselineError):
             improvement_percent(baseline, 1.0)
 
+    @pytest.mark.parametrize("modified", [math.nan, math.inf, -5.0])
+    def test_bad_modified_sse_rejected(self, modified):
+        # An SSE is a finite sum of squares; NaN, inf or a negative one is no improvement.
+        with pytest.raises(UndefinedBaselineError, match=f"modified SSE {modified}"):
+            improvement_percent(1.0, modified)
+
 
 class TestMape:
     def test_skips_zero_periods(self):
@@ -165,6 +172,12 @@ class TestCompareModels:
         coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
         with pytest.raises(UndefinedBaselineError, match="baseline SSE inf"):
             compare_models(series, coeffs, profile(series), mode="one_step", variant=variant)
+
+    def test_unknown_variant_is_a_parameter_error(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(ParameterError,
+                           match=r"variant must be one of \('classical', .*\), got 'bogus'"):
+            compare_models(mono_peak_series, coeffs, profile(mono_peak_series), variant="bogus")
 
     def test_report_regeneration_is_identical(self, mono_peak_series):
         coeffs = fit_quadratic(mono_peak_series)

@@ -59,6 +59,12 @@ class TestForecastSettings:
         with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
             forecast(mono_peak_series, coeffs, profile(mono_peak_series), horizon=-1)
 
+    def test_unknown_variant(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(ParameterError, match=r"variant must be one of \('classical', "
+                           r"'modified_add', 'modified_subtract', 'auto'\), got 'bogus'"):
+            forecast(mono_peak_series, coeffs, profile(mono_peak_series), variant="bogus")
+
     def test_variant_coerced_from_string(self, mono_peak_series):
         coeffs = fit_quadratic(mono_peak_series)
         result = forecast(mono_peak_series, coeffs, profile(mono_peak_series), variant="classical")

@@ -321,6 +321,10 @@ def _outcome(parse, text, date_column, value_column):
 # Files that parse but that the split path refuses, so the row loop reads them.
 @example(('period,demand\n"a,1",1.5\n"b""2",2\n"c\r\n3", 4e-3 \n', 0, 1))
 @example(("period,demand\np1,1\n\n \np2,2\n", "period", "demand"))
+# A quoted header, leading blank lines, and a header wider than its body.
+@example(('"period","demand"\np1,1\np2,2\n', "period", "demand"))
+@example(("\n , \t\nperiod,demand\np1,1\np2,2\n", 0, 1))
+@example(("period,demand,note\np1,1\np2,2\n", 0, 1))
 def test_one_pass_parser_matches_row_by_row_reference(inputs):
     assert _outcome(parse_generic_csv, *inputs) == _outcome(row_by_row_parse_generic_csv, *inputs)
 
@@ -359,6 +363,17 @@ def test_split_path_takes_a_written_generic_csv(monkeypatch, end):
     assert len(taken) == 1 and taken[0] is parsed
     assert parsed.periods == series.periods and parsed.unit == "demand"
     assert parsed.demands.tobytes() == series.demands.tobytes()
+
+
+def test_split_path_builds_no_stringio():
+    # The whole-file path reads its own header, so a clean file is never copied
+    # into a StringIO, which holds 4 bytes per character; the row loop builds one.
+    series = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))
+    text = to_generic_csv(series)
+    with mock.patch.object(ingest.io, "StringIO", side_effect=AssertionError("StringIO built")):
+        assert parse_generic_csv(text).demands.tobytes() == series.demands.tobytes()
+        with pytest.raises(AssertionError, match="StringIO built"):
+            parse_generic_csv('"period",demand\n' + text.split("\n", 1)[1])
 
 
 @pytest.mark.parametrize("flaw", ["quoted labels", "blank line"])

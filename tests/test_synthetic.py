@@ -141,6 +141,13 @@ class TestMonoPeakSpec:
         with pytest.raises(ParameterError):
             MonoPeakSpec(**kwargs)
 
+    @pytest.mark.parametrize("name", ["peak_height", "decay_rate", "plateau_level",
+                                      "rise_shape", "noise_amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value}$"):
+            MonoPeakSpec(**{name: value})
+
 
 class TestGenerateMonoPeak:
     def test_peak_value_exact_without_noise(self):
