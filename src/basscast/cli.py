@@ -43,7 +43,7 @@ from .ingest import (
     parse_transactions_csv,
     to_generic_csv,
 )
-from .series import _MONTH_RE, DEFAULT_START_PERIOD, TimeSeries, monthly_periods
+from .series import DEFAULT_START_PERIOD, TimeSeries, extend_period_labels
 from .svgplot import render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
 from .tail import DEFAULT_HEIGHT_FRACTION, DEFAULT_RATIO_SCALE, profile
@@ -84,16 +84,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
-    """Labels for horizon periods: calendar months when labels are YYYY-MM, else suffixes."""
-    if horizon == 0:
-        return []
-    last = periods[-1]
-    if all(_MONTH_RE.fullmatch(p) for p in periods):
-        return list(monthly_periods(horizon + 1, last)[1:])
-    return [f"{last}+{k:04d}" for k in range(1, horizon + 1)]
-
-
 def _fit_payload(series: TimeSeries) -> dict:
     coeffs = fit_quadratic(series)
     payload = {
@@ -126,7 +116,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     coeffs = fit_quadratic(series)
     tail = profile(series, args.height_fraction, args.tail_constant)
-    # The labels can fail (past 9999-12), so they come before the horizon is generated.
+    # The labels can fail (past 9999-12 or +9999), so they come before the horizon is generated.
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
                       clamp_nonnegative=args.clamp_nonnegative, horizon=args.horizon)
@@ -143,10 +133,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "predicted": result.predicted.tolist(),
         },
     )
-    actuals = list(map(repr, series.demands.tolist())) + [""] * args.horizon
-    predictions = csv_text(("period", "actual", "predicted"), labels, actuals,
-                           map(repr, result.predicted.tolist()))
-    _write_text(out / "predictions.csv", predictions)
+    _write_text(out / "predictions.csv", csv_text(("period", "actual", "predicted"), labels,
+                                                  series.demands, result.predicted))
     return EXIT_OK
 
 
@@ -174,12 +162,8 @@ def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, Evaluati
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
     _write_text(out / "predictions.csv", csv_text(
-        ("period", "actual", "classical", "modified"),
-        series.periods,
-        map(repr, series.demands.tolist()),
-        map(repr, report.classical_predicted.tolist()),
-        map(repr, report.modified_predicted.tolist()),
-    ))
+        ("period", "actual", "classical", "modified"), series.periods,
+        series.demands, report.classical_predicted, report.modified_predicted))
 
 
 def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:

@@ -46,18 +46,20 @@ class EvaluationReport:
         return payload
 
 
-def _values(x: TimeSeries | Sequence[float] | np.ndarray) -> np.ndarray:
-    if isinstance(x, TimeSeries):
-        return x.demands
-    return np.asarray(x, dtype=np.float64)
+def _aligned(
+    actual: TimeSeries | Sequence[float], predicted: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both value arrays, a series read as its demands; ShapeError if their lengths differ."""
+    a, p = (x.demands if isinstance(x, TimeSeries) else np.asarray(x, dtype=np.float64)
+            for x in (actual, predicted))
+    if a.shape != p.shape:
+        raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
+    return a, p
 
 
 def sse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:
     """Sum of squared errors between two equal-length sequences."""
-    a = _values(actual)
-    p = _values(predicted)
-    if a.shape != p.shape:
-        raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
+    a, p = _aligned(actual, predicted)
     resid = a - p
     return float(resid @ resid)
 
@@ -82,15 +84,11 @@ def improvement_percent(sse_classical: float, sse_modified: float) -> float:
 
 
 def rmse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:
-    a = _values(actual)
-    return math.sqrt(sse(actual, predicted) / a.size)
+    return math.sqrt(sse(actual, predicted) / len(actual))
 
 
 def mae(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:
-    a = _values(actual)
-    p = _values(predicted)
-    if a.shape != p.shape:
-        raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
+    a, p = _aligned(actual, predicted)
     return float(np.abs(a - p).mean())
 
 
@@ -103,10 +101,7 @@ def mape(
     is None when no non-zero period exists, or when the percentage overflows
     float64 (a subnormal demand such as 5e-324 can do that).
     """
-    a = _values(actual)
-    p = _values(predicted)
-    if a.shape != p.shape:
-        raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
+    a, p = _aligned(actual, predicted)
     mask = a != 0.0
     skipped = int(a.size - mask.sum())
     if not mask.any():

@@ -1,4 +1,4 @@
-"""Parsers that turn external CSV data into TimeSeries.
+"""Parsers that turn external CSV data into TimeSeries, and csv_text, which writes CSV.
 
 Three formats are supported:
 
@@ -28,10 +28,12 @@ import itertools
 import math
 import re
 from datetime import datetime
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import EmptyInputError, FormatError, ParameterError, ValidationError
-from .series import _MONTH_RE, TimeSeries, monthly_periods
+from .series import _MONTH_RE, TimeSeries, _month_number, monthly_periods
 
 LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
 
@@ -228,7 +230,7 @@ def _month(cell: str) -> str | None:
 def _monthly_series(buckets: dict[str, float]) -> TimeSeries:
     """The month totals as a series, months with no transactions set to 0; a long span raises."""
     first, last = min(buckets), max(buckets)
-    months = 12 * (int(last[:4]) - int(first[:4])) + int(last[5:]) - int(first[5:]) + 1
+    months = _month_number(last) - _month_number(first) + 1
     if months > MAX_TRANSACTION_MONTHS:
         raise ValidationError(f"transactions span {months} months, {first} to {last}; "
                               f"at most {MAX_TRANSACTION_MONTHS} are allowed")
@@ -280,21 +282,22 @@ def _quoted(label: str) -> str:
     return '"' + label.replace('"', '""') + '"' if _NEEDS_QUOTES.search(label) else label
 
 
-def csv_text(header: Sequence[str], labels: Sequence[str], *columns: Iterable[str]) -> str:
-    """CSV text: the header, then one line of cells per period label.
+def csv_text(header: Sequence[str], labels: Sequence[str], *columns: np.ndarray) -> str:
+    """CSV text: the header, then one line per label with its value from each float64 column.
 
-    The cells after the label are repr strings of floats or "", which never
-    need quoting, so the text is one C-level join of the cells. A label that
-    holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped in '"',
-    inner '"' doubled), so the text reads back as written; one search over all
-    the labels decides whether any label does.
+    A value cell is the float's repr, or "" past the end of a shorter column;
+    neither needs quoting, so the text is one C-level join of the cells. A
+    label that holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped
+    in '"', inner '"' doubled); one search over all the labels decides
+    whether any label does.
     """
     if _NEEDS_QUOTES.search("".join(labels)):
         labels = list(map(_quoted, labels))
-    rows = itertools.chain((header,), zip(labels, *columns))
+    cells = [map(repr, column.tolist()) for column in columns]
+    rows = itertools.chain((header,), itertools.zip_longest(labels, *cells, fillvalue=""))
     return "\n".join(map(",".join, rows)) + "\n"
 
 
 def to_generic_csv(series: TimeSeries) -> str:
     """Serialise a series as generic CSV that parse_generic_csv round-trips."""
-    return csv_text(("period", "demand"), series.periods, map(repr, series.demands.tolist()))
+    return csv_text(("period", "demand"), series.periods, series.demands)

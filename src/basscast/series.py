@@ -1,4 +1,4 @@
-"""Core time-series types and the cumulative/average primitives built on them."""
+"""Core time-series types, their cumulative/average primitives, and every period-label rule."""
 from __future__ import annotations
 
 import operator
@@ -91,6 +91,11 @@ def mean_demand(series: TimeSeries) -> float:
 _MONTH_RE = re.compile(r"\d{4}-(?:0[1-9]|1[0-2])", re.ASCII)
 
 
+def _month_number(label: str) -> int:
+    """Months from 0000-01 to a "YYYY-MM" label that _MONTH_RE matches."""
+    return int(label[:4]) * 12 + int(label[5:]) - 1
+
+
 def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...]:
     """n consecutive \"YYYY-MM\" labels starting at ``start``, which must be one.
 
@@ -98,14 +103,20 @@ def monthly_periods(n: int, start: str = DEFAULT_START_PERIOD) -> tuple[str, ...
     """
     if not _MONTH_RE.fullmatch(start):
         raise ParameterError(f"start period {start!r} is not a YYYY-MM month")
-    year, month = int(start[:4]), int(start[5:])
-    if year * 12 + month + n - 1 > 9999 * 12 + 12:
+    first = _month_number(start)
+    if first + n > 10000 * 12:  # months 0 (0000-01) to 119999 (9999-12) have four-digit years
         raise ParameterError(f"month labels stop at 9999-12; {n} from {start} would pass it")
-    labels = []
-    for _ in range(n):
-        labels.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return tuple(labels)
+    return tuple(f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(first, first + n))
+
+
+def extend_period_labels(periods: tuple[str, ...], horizon: int) -> list[str]:
+    """Labels for horizon periods: calendar months when labels are YYYY-MM, else suffixes."""
+    if horizon == 0:
+        return []
+    last = periods[-1]
+    if all(_MONTH_RE.fullmatch(p) for p in periods):
+        return list(monthly_periods(horizon + 1, last)[1:])
+    if horizon > 9999:  # a five-digit suffix would sort below +9999
+        raise ParameterError(f"suffix labels stop at +9999; {horizon} after {last!r} "
+                             "would pass it")
+    return [f"{last}+{k:04d}" for k in range(1, horizon + 1)]

@@ -82,6 +82,12 @@ class MonoPeakSpec:
             raise ParameterError(
                 f"noise_amplitude must be >= 0, got {self.noise_amplitude}"
             )
+        amp, peak = self.noise_amplitude, self.peak_height  # the noise range is 2 * amp
+        if not math.isfinite(2.0 * amp):
+            raise ParameterError(f"2 * noise_amplitude must be finite, got 2 * {amp}")
+        if not math.isfinite(peak + amp):
+            raise ParameterError(
+                f"peak_height + noise_amplitude must be finite, got {peak} + {amp}")
 
 
 def mono_peak_value(spec: MonoPeakSpec, t: int) -> float:

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -312,19 +313,25 @@ class TestForecastCommand:
         assert main(["forecast", str(csv_path), "--variant", "classical",
                      "--output-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("labels,horizon,message", [
+        (monthly_periods(13, "9998-12"), "3000000",
+         "month labels stop at 9999-12; 3000001 from 9999-12 would pass it"),
+        # "t059+10000" would sort below "t059+9999", so suffixes stop there.
+        ([f"t{i:03d}" for i in range(60)], "10000",
+         "suffix labels stop at +9999; 10000 after 't059' would pass it"),
+    ], ids=["month", "suffix"])
     def test_horizon_labels_are_checked_before_the_forecast_runs(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        # A horizon of millions past 9999-12 fails on its labels, without generating it first.
-        demands = generate_bass_series(EXACT_COEFFS, 13).demands
+                                                                 monkeypatch, labels, horizon,
+                                                                 message):
+        # A horizon past the last label fails on its labels, without generating it first.
+        demands = generate_bass_series(EXACT_COEFFS, len(labels)).demands
         csv_path = tmp_path / "late.csv"
-        csv_path.write_text(to_generic_csv(TimeSeries(monthly_periods(13, "9998-12"), demands)),
-                            encoding="utf-8")
+        csv_path.write_text(to_generic_csv(TimeSeries(labels, demands)), encoding="utf-8")
         monkeypatch.setattr(cli, "forecast", mock.Mock(side_effect=AssertionError("forecast ran")))
-        code = main(["forecast", str(csv_path), "--horizon", "3000000", "--variant", "classical",
+        code = main(["forecast", str(csv_path), "--horizon", horizon, "--variant", "classical",
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: month labels stop at 9999-12; 3000001 from 9999-12 would pass it\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_auto_variant_recorded(self, tmp_path):
@@ -448,6 +455,17 @@ class TestSynthCommand:
     def test_non_finite_spec_field_exits_2_naming_it(self, tmp_path, capsys, flag, name, value):
         assert main(["synth", flag, value, "--output", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--noise-amplitude", "1e308"], "2 * noise_amplitude must be finite, got 2 * 1e+308"),
+        (["--peak-height", "1.79e308", "--noise-amplitude", "1e307"],
+         "peak_height + noise_amplitude must be finite, got 1.79e+308 + 1e+307"),
+    ], ids=["noise_range", "peak_plus_noise"])
+    def test_noise_that_overflows_exits_2_naming_it(self, tmp_path, capsys, argv, message):
+        # Finite flags whose noise range, or peak plus noise, is inf used to fail on a period.
+        assert main(["synth", *argv, "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("start", ["foo", "2004-13"])
@@ -757,18 +775,18 @@ _FLOATS = st.one_of(
 
 @st.composite
 def prediction_tables(draw):
-    """(header, labels, columns) as evaluate, or forecast --horizon, writes them."""
+    """(header, labels, float64 columns) as evaluate, or forecast --horizon, writes them."""
     n = draw(st.integers(min_value=1, max_value=12))
     labels = draw(st.lists(_LABELS, min_size=n, max_size=n))
 
-    def column():
-        return list(map(repr, draw(st.lists(_FLOATS, min_size=n, max_size=n))))
+    def column(size=n):
+        return np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size)), dtype=np.float64)
 
     if draw(st.booleans()):
         return ("period", "actual", "classical", "modified"), labels, [column() for _ in "abc"]
     horizon = draw(st.integers(min_value=0, max_value=n))
-    actual = column()[:n - horizon] + [""] * horizon
-    return ("period", "actual", "predicted"), labels, [actual, column()]
+    # The actual column ends with the observed periods.
+    return ("period", "actual", "predicted"), labels, [column(n - horizon), column()]
 
 
 def _read_back(text):
@@ -778,9 +796,11 @@ def _read_back(text):
 @given(prediction_tables())
 def test_predictions_csv_bytes_match_csv_writer(table):
     header, labels, columns = table
-    rows = [list(header), *map(list, zip(labels, *columns))]
+    # The repr strings of each column, "" in the rows past its end.
+    cells = [[*map(repr, c.tolist()), *[""] * (len(labels) - len(c))] for c in columns]
+    rows = [list(header), *map(list, zip(labels, *cells))]
     text = csv_text(header, labels, *columns)
-    old = csv_writer_text(list(header), zip(labels, *columns))
+    old = csv_writer_text(list(header), zip(labels, *cells))
     assert _read_back(text) == rows
     # The bytes are csv.writer's wherever its file read back as the table it was given.
     assert text == old or _read_back(old) != rows
@@ -800,10 +820,10 @@ def test_generic_csv_bytes_match_csv_writer(labels, data):
 def test_carriage_return_label_is_quoted():
     # csv.writer with lineterminator "\n" leaves a bare CR unquoted, and a CSV
     # reader then splits the row there; the label is quoted instead.
-    header, labels, columns = ("period", "actual", "predicted"), ["a\rb"], [["1.0"], ["2.0"]]
-    text = csv_text(header, labels, *columns)
+    header, labels, cells = ("period", "actual", "predicted"), ["a\rb"], [["1.0"], ["2.0"]]
+    text = csv_text(header, labels, np.array([1.0]), np.array([2.0]))
     assert text == 'period,actual,predicted\n"a\rb",1.0,2.0\n'
-    old = csv_writer_text(list(header), zip(labels, *columns))
+    old = csv_writer_text(list(header), zip(labels, *cells))
     assert old == "period,actual,predicted\na\rb,1.0,2.0\n"
     assert _read_back(old) != _read_back(text) == [list(header), ["a\rb", "1.0", "2.0"]]
 

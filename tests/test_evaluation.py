@@ -19,9 +19,11 @@ from basscast import (
     forecast,
     generate_mono_peak,
     improvement_percent,
+    mae,
     mape,
     monthly_periods,
     profile,
+    rmse,
     sse,
 )
 from basscast.synthetic import SplitMix64
@@ -49,9 +51,10 @@ class TestSse:
             sse_fsum(actual, predicted), rel=1e-9
         )
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            sse(make([1, 2, 3]), [1.0, 2.0])
+    @pytest.mark.parametrize("metric", [sse, mae, mape, rmse])
+    def test_length_mismatch(self, metric):
+        with pytest.raises(ShapeError, match="actual has length 3, predicted has length 2"):
+            metric(make([1, 2, 3]), [1.0, 2.0])
 
     def test_accepts_plain_sequences(self):
         assert sse([1.0, 2.0], [1.0, 1.0]) == 1.0

@@ -11,6 +11,7 @@ from basscast import (
     mean_demand,
     monthly_periods,
 )
+from basscast.series import extend_period_labels
 from basscast.synthetic import SplitMix64
 from oracles import compensated_sum, lagged_cumulative
 
@@ -145,3 +146,12 @@ class TestMonthlyPeriods:
         with pytest.raises(ParameterError) as err:
             monthly_periods(n, start)
         assert str(err.value) == f"month labels stop at 9999-12; {n} from {start} would pass it"
+
+
+class TestExtendPeriodLabels:
+    def test_suffixes_stop_at_9999(self):
+        labels = extend_period_labels(("t058", "t059"), 9999)
+        assert labels[0] == "t059+0001" and labels[-1] == "t059+9999"
+        assert labels == sorted(labels)
+        with pytest.raises(ParameterError):  # "t059+10000" would sort below "t059+9999"
+            extend_period_labels(("t058", "t059"), 10000)
