@@ -86,23 +86,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _fit_payload(series: TimeSeries) -> dict:
     coeffs = fit_quadratic(series)
-    payload = {
-        "a": coeffs.a,
-        "b": coeffs.b,
-        "c": coeffs.c,
-        "residual_sse": coeffs.residual_sse,
-        "n_obs": coeffs.n_obs,
-        "bass_parameters": None,
-        "derivation_error": None,
-    }
+    payload = {**asdict(coeffs), "bass_parameters": None, "derivation_error": None}
     try:
-        params = derive_bass_parameters(coeffs)
+        payload["bass_parameters"] = asdict(derive_bass_parameters(coeffs))
     except NonDiffusionShapeError:
         payload["derivation_error"] = "non_diffusion_shape"
     except NoRealMarketSizeError:
         payload["derivation_error"] = "no_real_market_size"
-    else:
-        payload["bass_parameters"] = {"p": params.p, "q": params.q, "m": params.m}
     return payload
 
 

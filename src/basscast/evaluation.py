@@ -1,4 +1,8 @@
-"""SSE-based comparison of the classical and mean-corrected forecast variants."""
+"""SSE-based comparison of the classical and mean-corrected forecast variants.
+
+The four metrics take two equal-length, non-empty sequences. A residual past
+float64 makes sse, rmse and mae inf and mape None, with no numpy warning.
+"""
 from __future__ import annotations
 
 import math
@@ -7,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UndefinedBaselineError
-from .fitting import QuadraticCoefficients
+from .errors import EmptyInputError, ShapeError, UndefinedBaselineError
+from .fitting import QuadraticCoefficients, _sse
 from .forecast import ModelVariant, _as_variant, forecast
 from .series import TimeSeries
 from .tail import TailProfile
@@ -49,19 +53,19 @@ class EvaluationReport:
 def _aligned(
     actual: TimeSeries | Sequence[float], predicted: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both value arrays, a series read as its demands; ShapeError if their lengths differ."""
+    """Both value arrays, a series read as its demands; raises ShapeError or EmptyInputError."""
     a, p = (x.demands if isinstance(x, TimeSeries) else np.asarray(x, dtype=np.float64)
             for x in (actual, predicted))
     if a.shape != p.shape:
         raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
+    if not a.size:
+        raise EmptyInputError("metrics need at least one observation")
     return a, p
 
 
 def sse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:
     """Sum of squared errors between two equal-length sequences."""
-    a, p = _aligned(actual, predicted)
-    resid = a - p
-    return float(resid @ resid)
+    return _sse(*_aligned(actual, predicted))
 
 
 def improvement_percent(sse_classical: float, sse_modified: float) -> float:
@@ -89,7 +93,8 @@ def rmse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> fl
 
 def mae(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:
     a, p = _aligned(actual, predicted)
-    return float(np.abs(a - p).mean())
+    with np.errstate(over="ignore"):
+        return float(np.abs(a - p).mean())
 
 
 def mape(
@@ -128,22 +133,17 @@ def compare_models(
     UndefinedBaselineError, as improvement_percent does.
     """
     variant = _as_variant(variant)
-    classical = None
-    if variant not in (ModelVariant.AUTO, ModelVariant.CLASSICAL):
-        # Classical runs first, as in auto, so its divergence is the one raised.
-        classical = forecast(series, coeffs, tail, mode=mode, variant=ModelVariant.CLASSICAL,
-                             clamp_nonnegative=clamp_nonnegative)
-    modified = forecast(series, coeffs, tail, mode=mode, variant=variant,
+    first = ModelVariant.AUTO if variant is ModelVariant.AUTO else ModelVariant.CLASSICAL
+    # The first call generates classical, so its divergence is the one raised.
+    results = [forecast(series, coeffs, tail, mode=mode, variant=v,
                         clamp_nonnegative=clamp_nonnegative)
-    if classical is None:
-        classical = modified
+               for v in dict.fromkeys((first, variant))]
     # forecast already computed each curve's SSE to choose among its candidates.
-    baseline = classical.candidates[ModelVariant.CLASSICAL]
+    baseline = results[0].candidates[ModelVariant.CLASSICAL]
+    modified = results[-1]
     sse_classical = baseline.sse
     sse_modified = modified.candidates[modified.variant_used].sse
-    improvement = (
-        0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
-    )
+    improvement = 0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
     mape_value, mape_skipped = mape(series, modified.predicted)
     return EvaluationReport(
         sse_classical=sse_classical,

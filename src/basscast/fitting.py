@@ -6,6 +6,8 @@ raw normal equations: on long series D**2 spans many orders of magnitude and
 the normal equations lose roughly half the available precision. Coefficients
 are mapped back to the raw scale, so (a, b, c) always refer to the unscaled
 recursion.
+
+Every SSE basscast reports (residual_sse, each forecast candidate's, evaluation.sse) is _sse.
 """
 from __future__ import annotations
 
@@ -54,6 +56,13 @@ class BassParameters:
     p: float
     q: float
     m: float
+
+
+def _sse(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """Sum of squared residuals of two equal-length float64 arrays; inf, unwarned, past float64."""
+    with np.errstate(over="ignore"):
+        resid = actual - predicted
+        return float(resid @ resid)
 
 
 def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
@@ -108,8 +117,7 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
     b = b_s / s - 2.0 * c_s * mu / (s * s)
     a = a_s - b_s * mu / s + c_s * mu * mu / (s * s)
 
-    resid = d - (a + b * D + c * D * D)
-    residual_sse = float(resid @ resid)
+    residual_sse = _sse(d, a + b * D + c * D * D)
     if not all(map(math.isfinite, (a, b, c, residual_sse))):
         raise SingularFitError(
             f"fit overflows float64 (a={a}, b={b}, c={c}, residual_sse={residual_sse}); "

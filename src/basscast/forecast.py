@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fitting import QuadraticCoefficients
+from .fitting import QuadraticCoefficients, _sse
 from .series import TimeSeries, cumulative, mean_demand
 from .tail import TailProfile
 
@@ -167,11 +167,7 @@ def _candidate(
         values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
         curve = np.array(values)
     curve.flags.writeable = False
-    # A finite curve's residuals can still square past float64: that SSE is inf.
-    with np.errstate(over="ignore"):
-        resid = series.demands - curve
-        sse = float(resid @ resid)
-    return Candidate(curve, sse, correction, running)
+    return Candidate(curve, _sse(series.demands, curve), correction, running)
 
 
 def forecast(

@@ -45,11 +45,16 @@ def detect_tail_start(series: TimeSeries, height_fraction: float = DEFAULT_HEIGH
     n = len(series)
     if n < 2:
         raise ParameterError(f"tail detection needs at least 2 points, got {n}")
+    return _tail_start(series, height_fraction, *detect_peak(series))
+
+
+def _tail_start(series: TimeSeries, height_fraction: float, peak_index: int, peak: float) -> int:
+    """detect_tail_start from a known peak, for any length: a singleton's tail is empty (n)."""
     if not 0.0 < height_fraction < 1.0:
         raise ParameterError(f"height_fraction must be in (0, 1), got {height_fraction}")
-    peak_index, peak_value = detect_peak(series)
     min_value = float(series.demands.min())
-    threshold = height_fraction * (peak_value - min_value) + min_value
+    threshold = height_fraction * (peak - min_value) + min_value
+    n = len(series)
     for i in range(peak_index + 1, n):
         if series.demands[i] <= threshold:
             return i
@@ -87,8 +92,7 @@ def profile(
     """Compose peak detection, tail start, tail_per, and the ratio formulas."""
     n = len(series)
     peak_index, peak_value = detect_peak(series)
-    # A singleton has no post-peak range to scan; its tail is empty by contract.
-    tail_start = n if n == 1 else detect_tail_start(series, height_fraction)
+    tail_start = _tail_start(series, height_fraction, peak_index, peak_value)
     tail_per = (n - tail_start) / n
     r1, r2 = compute_ratios(tail_per, ratio_scale)
     return TailProfile(

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
+    EmptyInputError,
     ModelVariant,
     MonoPeakSpec,
     ParameterError,
@@ -58,6 +59,20 @@ class TestSse:
 
     def test_accepts_plain_sequences(self):
         assert sse([1.0, 2.0], [1.0, 1.0]) == 1.0
+
+    # One rule for all four metrics: empty input raises, and a residual past float64 is inf
+    # (mape: None) with no numpy warning, which would fail the test.
+    @pytest.mark.parametrize("metric,overflowed", [(sse, math.inf), (rmse, math.inf),
+                                                   (mae, math.inf), (mape, (None, 0))],
+                             ids=["sse", "rmse", "mae", "mape"])
+    @pytest.mark.parametrize("actual,predicted", [([], []), ([1e308, 1.0], [-1e308, 2.0])],
+                             ids=["empty", "overflowing"])
+    def test_shared_input_and_overflow_rule(self, metric, overflowed, actual, predicted):
+        if not actual:
+            with pytest.raises(EmptyInputError, match="at least one observation"):
+                metric(actual, predicted)
+        else:
+            assert metric(actual, predicted) == overflowed
 
 
 class TestImprovementPercent:

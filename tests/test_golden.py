@@ -26,6 +26,7 @@ FIXTURES = {
 }
 
 COMMANDS = {
+    "fit": ["fit"],
     "evaluate": ["evaluate"],
     "evaluate_both": ["evaluate", "--mode", "both"],
     "evaluate_subtract_clamped": ["evaluate", "--variant", "modified_subtract",
@@ -70,6 +71,13 @@ def run_main(argv, out):
 DIVERGED = "error: simulated cumulative demand exceeded 1e+15 at period 293\n"
 
 GOLDEN = {
+    ("fit", "n180"): (0, "", {
+        "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
+    }),
+    # n360's fitted c is positive, so its fit.json holds derivation_error non_diffusion_shape.
+    ("fit", "n360"): (0, "", {
+        "fit.json": "eb77d91f3328a2167ea46995296f6292be18c16c766a9adce8e359111a8abf60",
+    }),
     ("evaluate", "n180"): (0, "", {
         "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
         "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",

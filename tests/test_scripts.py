@@ -1,5 +1,6 @@
 """The example scripts and the basscast entry point run end to end against this checkout."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,11 @@ def test_cumulative_overflow_is_one_error_line_under_warnings_as_errors(tmp_path
     assert result.stderr.startswith("error: cumulative demand overflows float64")
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+def test_readme_library_use_block_runs(capsys):
+    """The README's ``Library use`` example runs as printed against this checkout."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out

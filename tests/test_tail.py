@@ -57,10 +57,14 @@ class TestDetectTailStart:
         with pytest.raises(ParameterError):
             detect_tail_start(make([5]))
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5, math.nan])
     def test_height_fraction_range(self, fraction):
-        with pytest.raises(ParameterError):
+        message = re.escape("height_fraction must be in (0, 1)")
+        with pytest.raises(ParameterError, match=message):
             detect_tail_start(make([1, 2, 3]), fraction)
+        # profile skips the post-peak scan on a singleton, but not the check.
+        with pytest.raises(ParameterError, match=message):
+            profile(make([5]), fraction)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False), min_size=2, max_size=120),
