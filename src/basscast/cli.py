@@ -27,7 +27,6 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     BasscastError,
-    DegeneratePlotError,
     FormatError,
     NonDiffusionShapeError,
     NoRealMarketSizeError,
@@ -44,7 +43,7 @@ from .ingest import (
     to_generic_csv,
 )
 from .series import DEFAULT_START_PERIOD, TimeSeries, extend_period_labels
-from .svgplot import render_comparison_svg
+from .svgplot import _check_points, render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
 from .tail import DEFAULT_HEIGHT_FRACTION, DEFAULT_RATIO_SCALE, profile
 
@@ -173,11 +172,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
-    if len(series) < 2:
-        raise DegeneratePlotError(
-            "series has 1 point; at least 2 are needed to draw comparison curves - "
-            "provide more data"
-        )
+    _check_points(series)  # before the fit, whose length rule would exit 3
     report = _compare(series, args, (args.mode,))[args.mode]
     _write_plot(Path(args.output_dir), series, report)
     return EXIT_OK

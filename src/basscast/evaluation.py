@@ -1,7 +1,9 @@
 """SSE-based comparison of the classical and mean-corrected forecast variants.
 
-The four metrics take two equal-length, non-empty sequences. A residual past
-float64 makes sse, rmse and mae inf and mape None, with no numpy warning.
+The four metrics take two equal-length, non-empty sequences of finite values;
+a NaN or infinity in either raises ValidationError naming that argument. A
+residual past float64 makes sse, rmse and mae inf and mape None, with no numpy
+warning.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError, UndefinedBaselineError
+from .errors import EmptyInputError, ShapeError, UndefinedBaselineError, ValidationError
 from .fitting import QuadraticCoefficients, _sse
 from .forecast import ModelVariant, _as_variant, forecast
 from .series import TimeSeries
@@ -53,13 +55,21 @@ class EvaluationReport:
 def _aligned(
     actual: TimeSeries | Sequence[float], predicted: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both value arrays, a series read as its demands; raises ShapeError or EmptyInputError."""
+    """Both value arrays, a series read as its demands.
+
+    Raises ShapeError, EmptyInputError, or ValidationError naming the argument
+    that holds a NaN or infinity, which no metric can report.
+    """
     a, p = (x.demands if isinstance(x, TimeSeries) else np.asarray(x, dtype=np.float64)
             for x in (actual, predicted))
     if a.shape != p.shape:
         raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
     if not a.size:
         raise EmptyInputError("metrics need at least one observation")
+    for name, values in (("actual", a), ("predicted", p)):
+        i = int(np.isfinite(values).argmin())  # the first non-finite value, if there is one
+        if not math.isfinite(values[i]):
+            raise ValidationError(f"{name} value at index {i} is not finite: {values[i]}")
     return a, p
 
 
@@ -120,6 +130,7 @@ def compare_models(
     series: TimeSeries,
     coeffs: QuadraticCoefficients,
     tail: TailProfile,
+    *,
     mode: str = "simulated",
     variant: ModelVariant = ModelVariant.AUTO,
     clamp_nonnegative: bool = False,

@@ -65,6 +65,12 @@ def _sse(actual: np.ndarray, predicted: np.ndarray) -> float:
         return float(resid @ resid)
 
 
+def _one_step(a: float, b: float, c: float, correction: float, D: np.ndarray) -> np.ndarray:
+    """forecast.simulate's step over an array D, in its operation order; inf or nan unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a + b * D + c * D * D + correction
+
+
 def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
     """Ordinary least-squares fit of demand on lagged cumulative demand and its square.
 
@@ -117,7 +123,7 @@ def fit_quadratic(series: TimeSeries) -> QuadraticCoefficients:
     b = b_s / s - 2.0 * c_s * mu / (s * s)
     a = a_s - b_s * mu / s + c_s * mu * mu / (s * s)
 
-    residual_sse = _sse(d, a + b * D + c * D * D)
+    residual_sse = _sse(d, _one_step(a, b, c, 0.0, D))
     if not all(map(math.isfinite, (a, b, c, residual_sse))):
         raise SingularFitError(
             f"fit overflows float64 (a={a}, b={b}, c={c}, residual_sse={residual_sse}); "

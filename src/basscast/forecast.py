@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fitting import QuadraticCoefficients, _sse
+from .fitting import QuadraticCoefficients, _one_step, _sse
 from .series import TimeSeries, cumulative, mean_demand
 from .tail import TailProfile
 
@@ -109,9 +109,9 @@ def simulate(
     Each value is ``a + b*D + c*D*D + correction`` at running cumulative demand
     D, starting from ``running``, floored at zero when ``clamp`` is set, and
     then added to D. Plain Python floats in this exact expression order keep
-    the output bit-identical to a per-step numpy evaluation; a rearranged form
-    (Horner) changes the last digits. Returns the values and D after the last
-    of them, so a later call started from that D continues the same curve.
+    the output bit-identical to its array form ``fitting._one_step``; Horner's
+    rearrangement changes the last digits. Returns the values and D after the
+    last of them, so a later call started from that D continues the same curve.
     Raises DivergenceError naming the first period whose value is not finite
     or whose running total passes DIVERGENCE_GUARD.
     """
@@ -153,9 +153,7 @@ def _candidate(
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     if lagged is not None:
-        # Element-wise float64 operations in the kernel's order give the kernel's bits.
-        with np.errstate(over="ignore", invalid="ignore"):
-            curve = a + b * lagged + c * lagged * lagged + correction
+        curve = _one_step(a, b, c, correction, lagged)
         if clamp:
             curve = np.where(curve < 0.0, 0.0, curve)
         finite = np.isfinite(curve)

@@ -82,9 +82,8 @@ def cumulative(series: TimeSeries) -> np.ndarray:
 
 
 def mean_demand(series: TimeSeries) -> float:
-    """Arithmetic mean of all demand values, summed left-to-right."""
-    total = float(np.cumsum(series.demands)[-1])
-    return total / len(series)
+    """Arithmetic mean of all demand values: cumulative's left-to-right total, inf past float64."""
+    return (float(cumulative(series)[-1]) + float(series.demands[-1])) / len(series)
 
 
 # A calendar-month period label, "YYYY-MM" in ASCII digits with MM 01-12; use with fullmatch.

@@ -57,6 +57,13 @@ def _polyline(points: str, ys: np.ndarray, color: str, dash: str | None, label: 
     )
 
 
+def _check_points(series: TimeSeries) -> None:
+    """Raise DegeneratePlotError unless series has the 2 points a comparison chart needs."""
+    if len(series) < 2:
+        raise DegeneratePlotError(f"series has {len(series)} point(s); at least 2 are needed "
+                                  "to draw comparison curves - provide more data")
+
+
 def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     """Render the actual curve and the report's two predictions into a 960x540 SVG document.
 
@@ -64,12 +71,8 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     dashed, dash-dot) over the observed range with linear min-max scaling, a
     legend, axis labels and a caption carrying the SSE and improvement figures.
     """
+    _check_points(series)
     n = len(series)
-    if n < 2:
-        raise DegeneratePlotError(
-            f"series has {n} point(s); at least 2 are needed to draw comparison "
-            "curves - provide more data"
-        )
     actual = series.demands
     classical = report.classical_predicted
     modified = report.modified_predicted

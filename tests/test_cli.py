@@ -33,6 +33,7 @@ from basscast import (
     errors,
     generate_mono_peak,
     monthly_periods,
+    render_comparison_svg,
     to_generic_csv,
 )
 from basscast.cli import _exit_code_for, build_parser, main
@@ -414,6 +415,14 @@ class TestPlotCommand:
         code = main(["plot", str(csv_path), "--output-dir", str(tmp_path)])
         assert code == 2
         assert "more data" in capsys.readouterr().err
+
+    def test_single_point_message_is_the_library_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("period,demand\n2020-01,5\n", encoding="utf-8")
+        with pytest.raises(DegeneratePlotError) as err:
+            render_comparison_svg(TimeSeries(["2020-01"], [5.0]), None)
+        assert main(["plot", str(csv_path), "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")

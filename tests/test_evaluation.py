@@ -15,6 +15,7 @@ from basscast import (
     SingularFitError,
     TimeSeries,
     UndefinedBaselineError,
+    ValidationError,
     compare_models,
     fit_quadratic,
     forecast,
@@ -73,6 +74,16 @@ class TestSse:
                 metric(actual, predicted)
         else:
             assert metric(actual, predicted) == overflowed
+
+    # A NaN or infinity has no SSE, error or percentage report.json could hold.
+    @pytest.mark.parametrize("metric", [sse, rmse, mae, mape])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["actual", "predicted"])
+    def test_non_finite_input_names_its_argument(self, metric, bad, name):
+        values = {"actual": [1.0, 2.0, 3.0], "predicted": [1.0, 2.0, 3.0]}
+        values[name][1] = bad
+        with pytest.raises(ValidationError, match=f"^{name} value at index 1 is not finite"):
+            metric(values["actual"], values["predicted"])
 
 
 class TestImprovementPercent:
@@ -191,6 +202,11 @@ class TestCompareModels:
         with pytest.raises(UndefinedBaselineError, match="baseline SSE inf"):
             compare_models(series, coeffs, profile(series), mode="one_step", variant=variant)
 
+    def test_settings_are_keyword_only(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(TypeError):
+            compare_models(mono_peak_series, coeffs, profile(mono_peak_series), "one_step")
+
     def test_unknown_variant_is_a_parameter_error(self, mono_peak_series):
         coeffs = fit_quadratic(mono_peak_series)
         with pytest.raises(ParameterError,
@@ -230,10 +246,10 @@ class TestCompareModels:
         assert report.mape is None or report.mape >= 0.0
 
 
-def comparison(compare, *args):
+def comparison(compare, *args, **kwargs):
     """Every report field and both curves' bytes, or the DivergenceError's period and message."""
     try:
-        report = compare(*args)
+        report = compare(*args, **kwargs)
     except DivergenceError as exc:
         return exc.period, str(exc)
     return (report.to_dict(), report.variant_used,
@@ -260,10 +276,12 @@ class TestOneForecastPassMatchesTwoCallReference:
         except SingularFitError:
             assume(False)
         tail = profile(series)
-        args = (series, coeffs, tail, mode, variant, clamp)
+        args = (series, coeffs, tail)
+        kwargs = {"mode": mode, "variant": variant, "clamp_nonnegative": clamp}
         # compare_models takes its SSEs from forecast's candidate records and its rmse
         # from sse_modified; the reference recomputes them with sse() and rmse().
-        assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
+        assert (comparison(compare_models, *args, **kwargs)
+                == comparison(two_call_compare_models, *args, **kwargs))
         try:
             result = forecast(series, coeffs, tail,
                               mode=mode, variant=variant, clamp_nonnegative=clamp)
@@ -282,5 +300,7 @@ class TestOneForecastPassMatchesTwoCallReference:
     def test_diverging_coefficients(self, mono_peak_series, mode, variant, a, b, c):
         coeffs = QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0,
                                        n_obs=len(mono_peak_series))
-        args = (mono_peak_series, coeffs, profile(mono_peak_series), mode, variant, False)
-        assert comparison(compare_models, *args) == comparison(two_call_compare_models, *args)
+        args = (mono_peak_series, coeffs, profile(mono_peak_series))
+        kwargs = {"mode": mode, "variant": variant}
+        assert (comparison(compare_models, *args, **kwargs)
+                == comparison(two_call_compare_models, *args, **kwargs))

@@ -13,6 +13,7 @@ from basscast import (
     QuadraticCoefficients,
     SingularFitError,
     TimeSeries,
+    cumulative,
     fit_quadratic,
     forecast,
     generate_mono_peak,
@@ -183,6 +184,19 @@ class TestOneStepMode:
             expected.append(value)
             running += value
         np.testing.assert_allclose(result.predicted[n:], expected, rtol=1e-15)
+
+    # fitting._one_step is the one array form of the step: the fit residual and the unclamped
+    # one-step classical curve are the same array, so their SSEs share every bit.
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mono_peak_specs())
+    def test_classical_sse_is_the_fit_residual_sse(self, spec):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        candidate = _candidate(series, coeffs, 0.0, False, cumulative(series))
+        assert np.float64(candidate.sse).tobytes() == np.float64(coeffs.residual_sse).tobytes()
 
 
 class TestAutoSelection:

@@ -18,8 +18,9 @@ SCRIPTS = ROOT / "scripts"
      ["study/seed_000.svg", "study/seed_001.svg", "study/seed_002.svg"]),
 ])
 def test_script_exits_zero(tmp_path, name, args, outputs):
-    result = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=tmp_path,
-                            capture_output=True, text=True, timeout=120)
+    # The suite's own warning rule: a numpy RuntimeWarning in a script is a failure.
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / name),
+                             *args], cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     for output in outputs:
         assert (tmp_path / output).stat().st_size > 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +128,12 @@ class TestMeanDemand:
         demands = [1000.0 * rng.next_float() for _ in range(1000)]
         expected = compensated_sum(demands) / len(demands)
         assert mean_demand(make(demands)) == pytest.approx(expected, rel=1e-9)
+
+    def test_overflowing_total_is_inf_without_a_warning(self):
+        # The suite turns a RuntimeWarning into an error; the total overflows as cumulative's does.
+        series = TimeSeries(["a", "b", "c"], [1e308, 1e308, 1.0])
+        assert mean_demand(series) == math.inf
+        assert cumulative(series)[-1] == math.inf
 
     @given(demand_lists)
     def test_mean_within_range(self, demands):
