@@ -252,15 +252,15 @@ def parse_transactions_csv(text: str) -> TimeSeries:
     for line_num, row in _rows(text):
         if len(row) < 2:
             raise FormatError(f"expected 'timestamp,count', got {row!r}", row=line_num)
+        key = _month(row[0])
         if first:
             first = False
-            if _month(row[0]) is None:
+            if key is None:
                 try:
                     float(row[1])
                 except ValueError:
                     continue  # a header: neither a timestamp nor a count
         count = _number(row[1].strip(), line_num, "count")
-        key = _month(row[0])
         if key is None:
             raise FormatError(f"unparseable timestamp {row[0]!r}", row=line_num)
         if count < 0:

@@ -1,6 +1,7 @@
 """Core time-series types, their cumulative/average primitives, and every period-label rule."""
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -65,6 +66,14 @@ class TimeSeries:
             and np.array_equal(self.demands, other.demands)
         )
 
+    @functools.cached_property  # cumulative's array; not a field, so repr and == ignore it
+    def _lagged(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # fit_quadratic reports the overflow as SingularFitError
+            running = np.cumsum(self.demands)
+        values = np.concatenate(([0.0], running[:-1]))
+        values.flags.writeable = False
+        return values
+
 
 def cumulative(series: TimeSeries) -> np.ndarray:
     """Lagged cumulative demand of a series, as a read-only array.
@@ -72,13 +81,9 @@ def cumulative(series: TimeSeries) -> np.ndarray:
     Element t holds the total demand of periods 0..t-1, so the first element
     is exactly 0 and the last element plus the final demand equals the total.
     Summation is left-to-right, which makes values[t] + demands[t] ==
-    values[t+1] hold exactly in floating point.
+    values[t+1] hold exactly in floating point. The sum runs once per TimeSeries.
     """
-    with np.errstate(over="ignore"):  # fit_quadratic reports the overflow as SingularFitError
-        running = np.cumsum(series.demands)
-    values = np.concatenate(([0.0], running[:-1]))
-    values.flags.writeable = False
-    return values
+    return series._lagged
 
 
 def mean_demand(series: TimeSeries) -> float:

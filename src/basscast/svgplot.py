@@ -6,6 +6,8 @@ version control.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DegeneratePlotError
@@ -25,13 +27,19 @@ _COLOR_CLASSICAL = "#d62728"
 _COLOR_MODIFIED = "#2ca02c"
 
 
-def _escape(text: str) -> str:
-    """Text with &, < and > replaced by XML entities, as the stdlib SAX ``escape`` does.
+# What XML 1.0 allows in no document: C0 controls but TAB, LF, CR; surrogates; U+FFFE, U+FFFF.
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
-    That ``escape`` is not imported: its module loads urllib.request and, with
-    it, the http, ssl, socket and email packages, about a fifth of the memory
-    of a basscast process that never uses them.
+
+def _escape(text: str) -> str:
+    """Text with each code point XML 1.0 forbids made U+FFFD, then &, < and > made entities.
+
+    The entities are what the stdlib SAX ``escape`` writes. That ``escape`` is
+    not imported: its module loads urllib.request and, with it, the http, ssl,
+    socket and email packages, about a fifth of the memory of a basscast
+    process that never uses them.
     """
+    text = _XML_FORBIDDEN.sub("\ufffd", text)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

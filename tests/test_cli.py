@@ -424,6 +424,14 @@ class TestPlotCommand:
         assert main(["plot", str(csv_path), "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
+    def test_control_character_in_the_unit_writes_wellformed_svg(self, tmp_path):
+        csv_path = tmp_path / "series.csv"
+        text = to_generic_csv(generate_mono_peak(MonoPeakSpec(seed=0)))
+        csv_path.write_text(text.replace("demand", "dem\x01and", 1), encoding="utf-8")
+        assert main(["plot", str(csv_path), "--output-dir", str(tmp_path)]) == 0
+        root = ET.parse(tmp_path / "compare.svg").getroot()
+        assert "dem\ufffdand" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")
         args = ["plot", str(csv_path), "--output-dir", str(tmp_path)]
@@ -654,6 +662,32 @@ class TestBatchCommand:
         with pytest.raises(SystemExit) as err:
             main(["batch", path, "--jobs", "2", "--output-dir", str(tmp_path / "out")])
         assert err.value.code == 2
+
+
+class TestOneCumulativePass:
+    """Each TimeSeries sums its demands once, however many readers its lagged total has."""
+
+    @pytest.mark.parametrize("argv,inputs", [
+        (["evaluate"], 1),
+        (["evaluate", "--mode", "one_step"], 1),
+        (["evaluate", "--mode", "both"], 1),
+        (["evaluate", "--mode", "both", "--variant", "modified_add"], 1),
+        (["forecast", "--horizon", "5"], 1),
+        (["plot"], 1),
+        (["batch"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_one_cumsum_per_input(self, tmp_path, monkeypatch, argv, inputs):
+        paths = [str(write_mono_peak(tmp_path / f"s{i}.csv", seed=i)) for i in range(inputs)]
+        calls = []
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        assert main([*argv, *paths, "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == inputs
 
 
 # The exit status each error maps to, pinned apart from the classes' own exit_code.

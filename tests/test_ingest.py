@@ -538,6 +538,12 @@ class TestRowNumbers:
         assert err.value.row == 2
         assert str(err.value) == "row 2: unparseable timestamp 'bogus'"
 
+    def test_transactions_row_with_both_cells_bad_names_the_count(self):
+        with pytest.raises(FormatError) as err:
+            parse_transactions_csv("ts,count\nbogus,many\n")
+        assert err.value.row == 2
+        assert str(err.value) == "row 2: unparseable count cell 'many'"
+
     def test_transactions_error_messages(self):
         with pytest.raises(ValidationError) as err:
             parse_transactions_csv(

@@ -115,6 +115,18 @@ class TestCumulative:
         second = cumulative(make(demands))
         assert np.array_equal(first, second)
 
+    def test_computed_once_per_series_and_read_only(self):
+        s = make([3.0, 1.0, 4.0])
+        before = repr(s)
+        values = cumulative(s)
+        assert cumulative(s) is values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        # The cached array is not a field: repr and == read the same fields as before.
+        assert repr(s) == before
+        assert s == make([3.0, 1.0, 4.0])
+
 
 class TestMeanDemand:
     def test_simple(self):

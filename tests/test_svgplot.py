@@ -94,6 +94,23 @@ def test_percent_format_matches_format_spec(value):
     assert "%.3f" % value == format(value, ".3f")
 
 
-@given(st.text(st.sampled_from("&<>\"';#a") | st.characters()))
+def xml_chars(text):
+    """text with each code point outside XML 1.0's Char production replaced by U+FFFD."""
+    return "".join(c if c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+                   or c >= "\U00010000" else "\ufffd" for c in text)
+
+
+@given(st.text(st.sampled_from("&<>\"';#a\x00\x0b\ud800\uffff") | st.characters()))
 def test_escape_matches_sax_escape(text):
-    assert svgplot._escape(text) == escape(text)
+    assert svgplot._escape(text) == escape(xml_chars(text))
+
+
+def test_characters_xml_forbids_are_drawn_as_replacement_characters():
+    forbidden = "\x00\x08\x0b\x0c\x0e\x1f\ud800\udfff\ufffe\uffff"
+    periods = [f"a{forbidden}", "b", "c", "d", "e", f"f{forbidden}"]
+    series = TimeSeries(periods, [1, 5, 9, 4, 2, 1], unit=f"u{forbidden}<&")
+    root = ET.fromstring(render(series))
+    texts = [t.text for t in root.findall(f".//{SVG_NS}text")]
+    shown = "\ufffd" * len(forbidden)
+    for text in (f"a{shown}", f"f{shown}", f"u{shown}<&"):
+        assert text in texts
