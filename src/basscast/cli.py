@@ -203,13 +203,17 @@ def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[str,
 def _output_names(inputs: list[str]) -> list[str]:
     """One distinct directory name per input: its stem, or stem_k for the k-th repeat.
 
-    The k is raised past any name already taken, so a.csv, a.csv, a_2.csv
-    give a, a_2 and a_2_2 rather than two inputs sharing a_2.
+    A stem that is empty, "." or ".." (as of "...csv", which would name the
+    output directory's parent) is "input". The k is raised past any name
+    already taken, so a.csv, a.csv, a_2.csv give a, a_2 and a_2_2 rather
+    than two inputs sharing a_2.
     """
     taken: set[str] = set()
     names = []
     for path in inputs:
-        stem = Path(path).stem or "input"
+        stem = Path(path).stem
+        if stem in ("", ".", ".."):
+            stem = "input"
         name, k = stem, 1
         while name in taken:
             k += 1

@@ -10,10 +10,10 @@ Three formats are supported:
   cuts into the cells csv.reader would, header included, is read whole
   (_split_series); any other is read row by row.
 * Transaction logs with (ISO-8601 timestamp, count) columns, aggregated to a
-  monthly series. A timestamp is what datetime.fromisoformat reads, or that
-  with a trailing "Z"; months without transactions inside the observed span are
-  emitted with demand 0 so cumulative demand stays defined over real time.
-  The span may not pass MAX_TRANSACTION_MONTHS.
+  monthly series. A timestamp is a valid date and time in _STAMP_RE's grammar;
+  months without transactions inside the observed span are emitted with demand
+  0 so cumulative demand stays defined over real time. The span may not pass
+  MAX_TRANSACTION_MONTHS.
 
 Every row-by-row read walks _rows, which skips blank rows (no cells, or only
 whitespace in them). Row numbers in error messages, and in the errors'
@@ -212,12 +212,24 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
     return TimeSeries(periods, demands, unit=header[value_idx].strip() or "unitless")
 
 
+# A timestamp: YYYY-MM-DD, then optionally any one character and HH[:MM[:SS[.fff|.ffffff]]],
+# then optionally Z or ±HH:MM[:SS[.ffffff]]. That is the form Python 3.10, the oldest supported,
+# documents for datetime.fromisoformat, plus Z. Later Pythons read more (basic and week dates,
+# "," and other fraction lengths, "+HH" offsets), so each stamp is matched here first.
+_STAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+                       r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?)?"
+                       r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?", re.DOTALL)
+
+
 def _month(cell: str) -> str | None:
     """The "YYYY-MM" month of a timestamp cell, or None for a cell that holds none.
 
-    A timestamp is what datetime.fromisoformat reads, a trailing "Z" allowed.
+    A timestamp matches _STAMP_RE, and datetime.fromisoformat then checks
+    it against the calendar and the ranges of hours, minutes and offsets.
     """
     text = cell.strip()
+    if not _STAMP_RE.fullmatch(text):
+        return None
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
@@ -287,14 +299,19 @@ def csv_text(header: Sequence[str], labels: Sequence[str], *columns: np.ndarray)
 
     A value cell is the float's repr, or "" past the end of a shorter column;
     neither needs quoting, so the text is one C-level join of the cells. A
-    label that holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped
+    column object given more than once is formatted once and its cells shared.
+    A label that holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped
     in '"', inner '"' doubled); one search over all the labels decides
     whether any label does.
     """
     if _NEEDS_QUOTES.search("".join(labels)):
         labels = list(map(_quoted, labels))
-    cells = [map(repr, column.tolist()) for column in columns]
-    rows = itertools.chain((header,), itertools.zip_longest(labels, *cells, fillvalue=""))
+    keys = [id(column) for column in columns]
+    # One map per distinct column, tee'd to its slots; zip_longest reads them in step.
+    cells = {key: iter(itertools.tee(map(repr, column.tolist()), keys.count(key)))
+             for key, column in dict(zip(keys, columns)).items()}
+    rows = itertools.chain((header,), itertools.zip_longest(
+        labels, *(next(cells[key]) for key in keys), fillvalue=""))
     return "\n".join(map(",".join, rows)) + "\n"
 
 

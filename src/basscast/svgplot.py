@@ -54,14 +54,10 @@ def _dash_attr(dash: str | None) -> str:
     return f' stroke-dasharray="{dash}"' if dash else ""
 
 
-def _polyline(points: str, ys: np.ndarray, color: str, dash: str | None, label: str) -> str:
-    """One curve; points is the chart's "x,%.3f ..." template, its x coordinates formatted.
-
-    "%.3f" % y gives the bytes format(y, ".3f") does for every float.
-    """
+def _polyline(points: str, color: str, dash: str | None, label: str) -> str:
     return (
         f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
-        f'{_dash_attr(dash)} points="{points % tuple(ys.tolist())}"/>'
+        f'{_dash_attr(dash)} points="{points}"/>'
     )
 
 
@@ -93,7 +89,7 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     # The x coordinates depend only on n: format them once, into one template for all
     # three curves that holds a "%.3f" for each y.
     xs = _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1)
-    points = " ".join(["%.3f,%%.3f"] * n) % tuple(xs.tolist())
+    template = " ".join(["%.3f,%%.3f"] * n) % tuple(xs.tolist())
     # One row per curve, (id, values, color, dash, legend text), drives its polyline and legend.
     table = [
         ("actual", actual, _COLOR_ACTUAL, None, "actual"),
@@ -101,7 +97,11 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
         ("modified", modified, _COLOR_MODIFIED, "10 4 2 4",
          f"modified ({report.variant_used.value})"),
     ]
-    curves = [_polyline(points, _scale(values, lo, hi, y0, y1), color, dash, label)
+    # A curve object drawn twice (modified is classical when classical wins) is scaled once.
+    distinct = {id(values): values for _, values, *_ in table}
+    points = {key: template % tuple(_scale(values, lo, hi, y0, y1).tolist())
+              for key, values in distinct.items()}
+    curves = [_polyline(points[id(values)], color, dash, label)
               for label, values, color, dash, _ in table]
     legend = []
     for i, (_, _, color, dash, text) in enumerate(table):

@@ -1,16 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from basscast import (
     BasscastError,
@@ -32,8 +34,10 @@ from basscast import (
     cli,
     errors,
     generate_mono_peak,
+    ingest,
     monthly_periods,
     render_comparison_svg,
+    svgplot,
     to_generic_csv,
 )
 from basscast.cli import _exit_code_for, build_parser, main
@@ -657,6 +661,19 @@ class TestBatchCommand:
             assert (out / name / "report.json").read_bytes() == (
                 single / "report.json").read_bytes()
 
+    def test_dot_stems_stay_inside_the_output_directory(self, tmp_path, capsys):
+        # The stem of "...csv" is "..", and that of "..csv" is ".".
+        (tmp_path / "in").mkdir()
+        inputs = [str(write_mono_peak(tmp_path / "in" / name, seed=k))
+                  for k, name in enumerate(["...csv", "..csv"])]
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / "out" / "o"
+        assert main(["batch", *inputs, "--output-dir", str(out)]) == 0
+        payloads = ("compare.svg", "predictions.csv", "report.json")
+        assert set(tmp_path.rglob("*")) - before == {
+            tmp_path / "out", out, out / "input", out / "input_2",
+            *(out / name / payload for name in ("input", "input_2") for payload in payloads)}
+
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
         path = str(write_mono_peak(tmp_path / "s.csv"))
         with pytest.raises(SystemExit) as err:
@@ -688,6 +705,33 @@ class TestOneCumulativePass:
         monkeypatch.setattr(np, "cumsum", counting)
         assert main([*argv, *paths, "--output-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == inputs
+
+
+class TestSharedCurveFormattedOnce:
+    """A report whose modified curve is its classical one formats that curve once per file."""
+
+    @pytest.mark.parametrize("variant,curves", [("classical", 2), ("modified_add", 3)])
+    def test_value_cells_and_scaled_curves(self, tmp_path, monkeypatch, variant, curves):
+        path = str(write_mono_peak(tmp_path / "s.csv"))
+        n = MonoPeakSpec().n
+        reprs, scales = [], []
+        scale = svgplot._scale
+
+        def counting_repr(value):
+            reprs.append(value)
+            return repr(value)
+
+        def counting_scale(*args):
+            scales.append(args[0])
+            return scale(*args)
+
+        monkeypatch.setattr(ingest, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(svgplot, "_scale", counting_scale)
+        argv = [path, "--variant", variant, "--output-dir", str(tmp_path / "out")]
+        assert main(["evaluate", *argv]) == 0
+        assert len(reprs) == curves * n  # actual, then classical and modified, once if shared
+        assert main(["plot", *argv]) == 0
+        assert len(scales) == 1 + curves  # the x coordinates, then each distinct curve
 
 
 # The exit status each error maps to, pinned apart from the classes' own exit_code.
@@ -804,6 +848,101 @@ class TestReusedParser:
         for k, argv in enumerate(commands):
             _fresh_process([*argv, "--output-dir", f"fresh{k}"], tmp_path)
             assert _payloads(tmp_path / f"reused{k}") == _payloads(tmp_path / f"fresh{k}")
+
+
+# main over mutated small inputs: no exception escapes, and nothing is written astray.
+_FLAG_VALUES = [None, "0", "-1", "nan", "inf", "1e308", str(2**70)]
+# The stem of "...csv" is "..", that of "..csv" is ".", and that of ".csv" is ".csv".
+_INPUT_NAMES = ["s.csv", "...csv", "..csv", ".csv", "a b.csv", "in.put.csv", "s"]
+
+
+def _fixture_text(kind, n, seed):
+    """A small input of the given format: generic, trends or transactions."""
+    series = generate_mono_peak(MonoPeakSpec(n=n, peak_time=max(1, n // 4), seed=seed))
+    if kind == "generic":
+        return to_generic_csv(series)
+    demands = series.demands.tolist()
+    peak = max(demands) or 1.0
+    if kind == "trends":
+        cells = [str(round(100 * d / peak)) if d >= peak / 200 else "<1" for d in demands]
+        return ("Category: All categories\n\nMonth,term: (Worldwide)\n"
+                + "".join(f"{p},{c}\n" for p, c in zip(series.periods, cells)))
+    return "timestamp,count\n" + "".join(
+        f"{p}-{1 + k % 28:02d}T10:00:00Z,{d!r}\n"
+        for k, (p, d) in enumerate(zip(series.periods, demands)))
+
+
+@st.composite
+def mutated_inputs(draw, kind):
+    """The bytes of a written fixture after a few truncations, flips, swaps and insertions."""
+    data = _fixture_text(kind, draw(st.integers(2, 60)), draw(st.integers(0, 3))).encode()
+    for mutation in draw(st.lists(st.sampled_from(
+            ["truncate", "flip", "swap", "bom", "duplicate", "quote"]), max_size=2)):
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if mutation == "truncate":
+            data = data[:at]
+        elif mutation == "flip" and data:
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif mutation == "swap":
+            data = data.translate(bytes.maketrans(b"\r\n", b"\n\r"))
+        elif mutation == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif mutation == "duplicate":
+            lines = data.splitlines(keepends=True)
+            k = draw(st.integers(0, max(len(lines) - 1, 0)))
+            data = b"".join(lines[:k + 1] + lines[k:])
+        elif mutation == "quote":
+            data = data[:at] + b'"' + data[at:]
+    return data
+
+
+@st.composite
+def command_lines(draw):
+    """(argv before the paths, the subcommand, [(file name, bytes)])."""
+    command = draw(st.sampled_from(["fit", "forecast", "evaluate", "plot", "batch"]))
+    formats = st.sampled_from(["generic", "trends", "transactions"])
+    form = draw(formats)
+    argv = [command, "--format", form]
+    flags = [] if command == "fit" else ["--height-fraction", "--tail-constant"]
+    if command == "forecast":
+        flags.append("--horizon")
+    for flag in flags:
+        value = draw(st.none() | st.sampled_from(_FLAG_VALUES))  # mostly the default
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    count = draw(st.integers(1, 2)) if command == "batch" else 1
+    # Mostly a file of the format named, sometimes one of another.
+    kinds = [draw(st.just(form) | formats) for _ in range(count)]
+    inputs = [(draw(st.sampled_from(_INPUT_NAMES)), draw(mutated_inputs(kind))) for kind in kinds]
+    return argv, command, inputs
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_main_exits_cleanly_and_writes_only_inside_the_output_directory(case):
+    argv, command, inputs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = []
+        for k, (name, data) in enumerate(inputs):
+            (root / f"in{k}").mkdir()
+            paths.append(root / f"in{k}" / name)
+            paths[-1].write_bytes(data)
+        before = set(root.rglob("*"))
+        out = root / "out" / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, *map(str, paths), "--output-dir", str(out)])
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2
+                code = None
+        assert code in (None, 0, 2, 3, 4)
+        if code and command != "batch":
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        for path in set(root.rglob("*")) - before:
+            assert path == out.parent or out in (path, *path.parents), path
 
 
 # predictions.csv and generic CSV emission: one join over the cells, compared with csv.writer.

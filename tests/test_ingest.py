@@ -520,6 +520,67 @@ class TestParseTransactionsCsv:
             parse_transactions_csv("ts,count\n1921-01-01,1\n2021-01-31,5\n")
 
 
+# Each stamp with the month Python 3.10.13's datetime.fromisoformat gives it ("Z" read as
+# "+00:00"), or None where it raises. Later Pythons read the last fifteen too (basic and week
+# dates, other fraction lengths and separators, short offsets); the grammar does not.
+_STAMPS_AS_PYTHON_310_READS = [
+    ("2020-01-01", "2020-01"), ("0001-01-01", "0001-01"), ("9999-12-31", "9999-12"),
+    ("2020-02-29", "2020-02"), (" 2020-03-04 ", "2020-03"), ("2020-01-01T10", "2020-01"),
+    ("2020-01-01T10:00", "2020-01"), ("2020-01-01T10:00:00", "2020-01"),
+    ("2020-01-01T10:00:00.123", "2020-01"), ("2020-01-01T10:00:00.123456", "2020-01"),
+    ("1999-12-31T23:59:59.999999", "1999-12"), ("2020-01-01 10:00:00", "2020-01"),
+    ("2020-01-01x10:00", "2020-01"), ("2020-01-01é10:00", "2020-01"),
+    ("2020-01-01\n10:00", "2020-01"), ("2020-01-01510:00", "2020-01"),
+    ("2020-01-01Z10:00", "2020-01"), ("2020-01-01T10:00Z", "2020-01"), ("2020-01-01Z", "2020-01"),
+    ("2020-01-01T10:00:00.123456Z", "2020-01"), ("2020-01-01T10:00+05:00", "2020-01"),
+    ("2020-01-01T10:00-05:00", "2020-01"), ("2020-01-01T10:00:00-00:00", "2020-01"),
+    ("2020-01-01T10:00+05:30:15", "2020-01"), ("2020-01-01T10:00+05:30:15.123456", "2020-01"),
+    ("2020-01-01T10:00+23:59", "2020-01"), ("2020-01-01T10:00+05:60", "2020-01"),
+    ("2020-01-01+05:00", "2020-01"), ("2020-01-01-05:00", "2020-01"), ("0000-01-01", None),
+    ("2020-13-01", None), ("2020-00-10", None), ("2019-02-29", None), ("2020-02-30", None),
+    ("2020-04-31", None), ("2020-01-01T24:00", None), ("2020-01-01T23:60", None),
+    ("2020-01-01T23:59:60", None), ("2020-01-01T10:00+24:00", None), ("2020-01-01T", None),
+    ("2020-01-01T1", None), ("2020-01-01T10:", None), ("2020-01-01T10:0", None),
+    ("2020-01-01T10:00:00.", None), ("2020-01-01TZ", None), ("2020-01-01ZZ", None),
+    ("2020-01-01T10:00+05:00Z", None), ("2020-01-01T-05:00", None), ("2020-01", None),
+    ("2020-1-01", None), ("+2020-01-01", None), ("2020/01/01", None), ("２０２０-01-01", None),
+    ("2020-01-01T１０:00", None), ("timestamp", None), ("", None), ("20200101", None),
+    ("20200101T1000", None), ("2020-W01-1", None), ("2020-W01", None), ("2020W011", None),
+    ("2020-01-01T10:00:00.12", None), ("2020-01-01T10:00:00.1234", None),
+    ("2020-01-01T10:00:00.1234567", None), ("2020-01-01T10:00:00,5", None),
+    ("2020-01-01T1000", None), ("2020-01-01T100000", None), ("2020-01-01T10:00+05", None),
+    ("2020-01-01T10:00+0500", None), ("2020-01-01T10:00+05:30:15.123", None),
+    ("2020-01-01T10:00+05:00.123456", None),
+]
+
+# Undocumented forms that CPython 3.10 reads, each as 2020-01, and later versions too but for
+# the sixth: a fraction after HH or HH:MM, or after ":"; one stray character before the offset;
+# an offset fraction after ":". None fits the grammar, so none is a timestamp on any Python.
+_STAMPS_OUTSIDE_THE_GRAMMAR = [
+    "2020-01-01T10.123", "2020-01-01T10:30.123456", "2020-01-01T10:00:00:123",
+    "2020-01-01T10:00 +05:00", "2020-01-01T10:00xZ", "2020-01-01T10:00Z+05:00",
+    "2020-01-01T10:00+05:00:00:123456",
+]
+
+
+@pytest.mark.parametrize("stamp,month", _STAMPS_AS_PYTHON_310_READS)
+def test_timestamp_grammar_reads_what_python_310_reads(stamp, month):
+    assert ingest._month(stamp) == month
+
+
+@pytest.mark.parametrize("stamp", _STAMPS_OUTSIDE_THE_GRAMMAR)
+def test_undocumented_fromisoformat_forms_are_not_timestamps(stamp):
+    assert ingest._month(stamp) is None
+
+
+@pytest.mark.parametrize("stamp", ["20200101", "2020-W01-1", "2020-01-01T10:00:00.12",
+                                   "2020-01-01T10:00+05"])
+def test_stamp_only_later_pythons_read_names_row(stamp):
+    with pytest.raises(FormatError) as err:
+        parse_transactions_csv(transactions_log([("2020-01-01", 1), (stamp, 2)]))
+    assert str(err.value) == f"row 3: unparseable timestamp {stamp!r}"
+
+
 class TestRowNumbers:
     @pytest.mark.parametrize("text,cls,row", [
         ("ts,count\n2020-01-01,1\n\n\n2020-02-01,2\nbogus,3\n", FormatError, 6),
