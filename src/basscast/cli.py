@@ -72,15 +72,18 @@ def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
     return parse_generic_csv(text, args.date_column, args.value_column)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+def _write(out: Path, payloads: dict[str, str]) -> None:
+    """Make the directory ``out`` once, then write each {file name: text} payload in order."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in payloads.items():
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _fit_payload(series: TimeSeries) -> dict:
@@ -97,7 +100,7 @@ def _fit_payload(series: TimeSeries) -> dict:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
-    _write_json(Path(args.output_dir) / "fit.json", _fit_payload(series))
+    _write(args.output_dir, {"fit.json": _json(_fit_payload(series))})
     return EXIT_OK
 
 
@@ -109,10 +112,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
                       clamp_nonnegative=args.clamp_nonnegative, horizon=args.horizon)
-    out = Path(args.output_dir)
-    _write_json(
-        out / "forecast.json",
-        {
+    _write(args.output_dir, {
+        "forecast.json": _json({
             "variant_used": result.variant_used.value,
             "correction_term": result.correction_term,
             "mode": args.mode,
@@ -120,10 +121,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "clamp_nonnegative": args.clamp_nonnegative,
             "n_observed": len(series),
             "predicted": result.predicted.tolist(),
-        },
-    )
-    _write_text(out / "predictions.csv", csv_text(("period", "actual", "predicted"), labels,
-                                                  series.demands, result.predicted))
+        }),
+        "predictions.csv": csv_text(("period", "actual", "predicted"), labels,
+                                    series.demands, result.predicted),
+    })
     return EXIT_OK
 
 
@@ -140,23 +141,22 @@ def _compare(
     }
 
 
-def _write_evaluation(out: Path, series: TimeSeries, reports: dict[str, EvaluationReport]) -> None:
-    """report.json (one object per mode when there are two) and predictions.csv."""
+def _evaluation_files(series: TimeSeries, reports: dict[str, EvaluationReport]) -> dict[str, str]:
+    """report.json (one object per mode when there are two) and predictions.csv.
+
+    With one mode, the report's improvement line is printed here, before any file is written.
+    """
     if len(reports) > 1:
-        _write_json(out / "report.json", {mode: r.to_dict() for mode, r in reports.items()})
+        payload = {mode: r.to_dict() for mode, r in reports.items()}
         report = reports["simulated"]
     else:
         (report,) = reports.values()
-        _write_json(out / "report.json", report.to_dict())
+        payload = report.to_dict()
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
-    _write_text(out / "predictions.csv", csv_text(
+    return {"report.json": _json(payload), "predictions.csv": csv_text(
         ("period", "actual", "classical", "modified"), series.periods,
-        series.demands, report.classical_predicted, report.modified_predicted))
-
-
-def _write_plot(out: Path, series: TimeSeries, report: EvaluationReport) -> None:
-    _write_text(out / "compare.svg", render_comparison_svg(series, report))
+        series.demands, report.classical_predicted, report.modified_predicted)}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -166,7 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_OK
     series = load_series(args.input, args)
     modes = _MODES if args.mode == "both" else (args.mode,)
-    _write_evaluation(Path(args.output_dir), series, _compare(series, args, modes))
+    _write(args.output_dir, _evaluation_files(series, _compare(series, args, modes)))
     return EXIT_OK
 
 
@@ -174,30 +174,31 @@ def cmd_plot(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     _check_points(series)  # before the fit, whose length rule would exit 3
     report = _compare(series, args, (args.mode,))[args.mode]
-    _write_plot(Path(args.output_dir), series, report)
+    _write(args.output_dir, {"compare.svg": render_comparison_svg(series, report)})
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = MonoPeakSpec(**{f.name: getattr(args, f.name) for f in fields(MonoPeakSpec)})
     series = generate_mono_peak(spec, start_period=args.start_period)
-    output = Path(args.output)
-    _write_text(output, to_generic_csv(series))
-    _write_json(output.with_suffix(".spec.json"),
-                {**asdict(spec), "start_period": args.start_period})
+    # parent / name is the path as given; a name-less "", "." or "/" then fails to open (exit 4).
+    _write(args.output.parent, {
+        args.output.name: to_generic_csv(series),
+        f"{args.output.stem}.spec.json": _json({**asdict(spec), "start_period": args.start_period}),
+    })
     return EXIT_OK
 
 
-def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[str, int, str]:
-    """evaluate and plot as one pass: one parse, one fit, one profile, one comparison."""
+def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[int, str]:
+    """evaluate and plot as one pass (one parse, fit, profile, comparison): (code, status)."""
     try:
         series = load_series(path, args)
         report = _compare(series, args, (args.mode,))[args.mode]
-        _write_evaluation(out_dir, series, {args.mode: report})
-        _write_plot(out_dir, series, report)
+        _write(out_dir, {**_evaluation_files(series, {args.mode: report}),
+                         "compare.svg": render_comparison_svg(series, report)})
     except (BasscastError, OSError) as exc:
-        return path, _exit_code_for(exc), str(exc)
-    return path, EXIT_OK, "ok"
+        return _exit_code_for(exc), f"failed: {exc}"
+    return EXIT_OK, "ok"
 
 
 def _output_names(inputs: list[str]) -> list[str]:
@@ -224,15 +225,12 @@ def _output_names(inputs: list[str]) -> list[str]:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    out = Path(args.output_dir)
-    results = [_batch_one(args, path, out / name)
+    results = [_batch_one(args, path, args.output_dir / name)
                for path, name in zip(args.inputs, _output_names(args.inputs))]
     exit_code = EXIT_OK
-    for path, code, message in results:
-        status = "ok" if code == EXIT_OK else f"failed: {message}"
+    for path, (code, status) in zip(args.inputs, results):
         print(f"{path}: {status}")
-        if code != EXIT_OK and exit_code == EXIT_OK:
-            exit_code = code
+        exit_code = exit_code or code  # the first failing input's code
     return exit_code
 
 
@@ -253,7 +251,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                         help="generic CSV period column, name or 0-based index (default: 0)")
     parser.add_argument("--value-column", type=_column_selector, default="1",
                         help="generic CSV demand column, name or 0-based index (default: 1)")
-    parser.add_argument("--output-dir", default=".", help="directory for output files")
+    parser.add_argument("--output-dir", type=Path, default=".", help="directory for output files")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, modes: tuple[str, ...]) -> None:
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform noise half-width (default: 2%% of peak height)")
     p.add_argument("--seed", type=int, help="generator seed (default: %(default)s)")
     p.add_argument("--start-period", help="first YYYY-MM label (default: %(default)s)")
-    p.add_argument("--output", default="mono_peak.csv", help="output CSV path")
+    p.add_argument("--output", type=Path, default="mono_peak.csv", help="output CSV path")
     # The spec's own field defaults are the flags' defaults.
     p.set_defaults(run=cmd_synth, start_period=DEFAULT_START_PERIOD,
                    **{f.name: f.default for f in fields(MonoPeakSpec)})

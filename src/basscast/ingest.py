@@ -233,10 +233,10 @@ def _month(cell: str) -> str | None:
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
-        stamp = datetime.fromisoformat(text)
+        datetime.fromisoformat(text)
     except ValueError:
         return None
-    return f"{stamp.year:04d}-{stamp.month:02d}"
+    return text[:7]
 
 
 def _monthly_series(buckets: dict[str, float]) -> TimeSeries:

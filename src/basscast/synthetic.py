@@ -104,10 +104,11 @@ def generate_mono_peak(spec: MonoPeakSpec, start_period: str = DEFAULT_START_PER
 
     An identical spec (seed included) gives identical output.
     """
+    periods = monthly_periods(spec.n, start_period)  # raises before the n-step loop, not after
     rng = SplitMix64(spec.seed)
     amp = spec.noise_amplitude
     demands = []
     for t in range(spec.n):
         value = mono_peak_value(spec, t) + rng.uniform(-amp, amp)
         demands.append(max(value, 0.0))
-    return TimeSeries(monthly_periods(spec.n, start_period), demands, unit="synthetic")
+    return TimeSeries(periods, demands, unit="synthetic")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +39,7 @@ from basscast import (
     monthly_periods,
     render_comparison_svg,
     svgplot,
+    synthetic,
     to_generic_csv,
 )
 from basscast.cli import _exit_code_for, build_parser, main
@@ -504,6 +506,27 @@ class TestSynthCommand:
             "error: month labels stop at 9999-12; 24 from 9999-06 would pass it\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_length_past_9999_12_exits_2_before_any_value_is_made(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Made value by value, 2**70 of them would never return.
+        def unreachable(spec, t):
+            raise AssertionError(f"value {t} made before the labels were checked")
+
+        monkeypatch.setattr(synthetic, "mono_peak_value", unreachable)
+        assert main(["synth", "--n", str(2**70), "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: month labels stop at 9999-12; {2**70} from 2004-01 would pass it\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output", ["", ".", "..", "/"])
+    def test_output_with_no_file_name_exits_4(self, tmp_path, capsys, monkeypatch, output):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["synth", "--output", output]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert list(tmp_path.rglob("*")) == [tmp_path / "cwd"]
+
 
 class TestTrendsAndTransactionsFormats:
     def test_trends_format(self, tmp_path):
@@ -734,6 +757,68 @@ class TestSharedCurveFormattedOnce:
         assert len(scales) == 1 + curves  # the x coordinates, then each distinct curve
 
 
+class TestPayloadWrites:
+    """Each command builds all of an input's files, then makes their directory once and writes."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for i in range(2):
+            write_mono_peak(tmp_path / f"s{i}.csv", seed=i)
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["evaluate", "s0.csv", "--output-dir", "out"], 1),
+        (["forecast", "s0.csv", "--horizon", "3", "--output-dir", "out"], 1),
+        (["synth", "--output", "out/s.csv"], 1),
+        # pathlib makes out/s0's missing parent by a second call, then retries: 3 calls, then 1.
+        (["batch", "s0.csv", "s1.csv", "--output-dir", "out"], 4),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_each_output_directory_is_made_once(self, monkeypatch, argv, calls):
+        made = []
+        mkdir = Path.mkdir
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting)
+        assert main(argv) == 0
+        assert len(made) == calls, made
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["fit", "s0.csv"], ["wrote out/fit.json"]),
+        (["forecast", "s0.csv", "--horizon", "3"],
+         ["wrote out/forecast.json", "wrote out/predictions.csv"]),
+        (["evaluate", "s0.csv"],
+         ["improvement of out", "wrote out/report.json", "wrote out/predictions.csv"]),
+        (["evaluate", "s0.csv", "--mode", "both"],
+         ["wrote out/report.json", "wrote out/predictions.csv"]),
+        (["plot", "s0.csv"], ["wrote out/compare.svg"]),
+        (["batch", "s0.csv", "s1.csv"],
+         [*(line for name in ("s0", "s1") for line in (
+             f"improvement of out/{name}", f"wrote out/{name}/report.json",
+             f"wrote out/{name}/predictions.csv", f"wrote out/{name}/compare.svg")),
+          "s0.csv: ok", "s1.csv: ok"]),
+    ], ids=["fit", "forecast", "evaluate", "evaluate_both", "plot", "batch"])
+    def test_stdout_lines(self, capsys, argv, lines):
+        # An input's improvement line comes before the files it is computed for are written.
+        assert main([*argv, "--output-dir", "out"]) == 0
+
+        def improvement(directory):
+            report = json.loads(Path(directory, "report.json").read_text())
+            return (f"improvement_percent {report['improvement_percent']!r} "
+                    f"(variant {report['variant_used']})")
+
+        assert capsys.readouterr().out.splitlines() == [
+            improvement(line.split()[-1]) if line.startswith("improvement of ") else line
+            for line in lines]
+
+    def test_synth_stdout_lines(self, capsys):
+        assert main(["synth", "--output", "out/s.csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["wrote out/s.csv",
+                                                        "wrote out/s.spec.json"]
+
+
 # The exit status each error maps to, pinned apart from the classes' own exit_code.
 EXIT_CODES = {
     BasscastError: 2,
@@ -854,6 +939,8 @@ class TestReusedParser:
 _FLAG_VALUES = [None, "0", "-1", "nan", "inf", "1e308", str(2**70)]
 # The stem of "...csv" is "..", that of "..csv" is ".", and that of ".csv" is ".csv".
 _INPUT_NAMES = ["s.csv", "...csv", "..csv", ".csv", "a b.csv", "in.put.csv", "s"]
+# synth --output values, relative to the working directory: "", ".", ".." and "/" name no file.
+_SYNTH_OUTPUTS = ["s.csv", "", ".", "..", "/", "x/", "a.b.c"]
 
 
 def _fixture_text(kind, n, seed):
@@ -875,7 +962,7 @@ def _fixture_text(kind, n, seed):
 @st.composite
 def mutated_inputs(draw, kind):
     """The bytes of a written fixture after a few truncations, flips, swaps and insertions."""
-    data = _fixture_text(kind, draw(st.integers(2, 60)), draw(st.integers(0, 3))).encode()
+    data = _fixture_text(kind, draw(st.integers(2, 400)), draw(st.integers(0, 3))).encode()
     for mutation in draw(st.lists(st.sampled_from(
             ["truncate", "flip", "swap", "bom", "duplicate", "quote"]), max_size=2)):
         at = draw(st.integers(0, max(len(data) - 1, 0)))
@@ -898,16 +985,31 @@ def mutated_inputs(draw, kind):
 
 @st.composite
 def command_lines(draw):
-    """(argv before the paths, the subcommand, [(file name, bytes)])."""
-    command = draw(st.sampled_from(["fit", "forecast", "evaluate", "plot", "batch"]))
+    """(argv before the paths, the subcommand, [(file name, bytes)]).
+
+    synth's argv is whole; every other command takes the paths and --output-dir after it.
+    """
+    command = draw(st.sampled_from(["fit", "forecast", "evaluate", "plot", "batch", "synth",
+                                    "sse-pair"]))
+    if command == "synth":
+        argv = ["synth", "--output", draw(st.sampled_from(_SYNTH_OUTPUTS))]
+        # A few of the shape flags, so that most specs are valid and reach the generator.
+        flags = [f"--{f.name.replace('_', '-')}" for f in fields(MonoPeakSpec)]
+        for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+            argv.append(f"{flag}={draw(st.sampled_from(_FLAG_VALUES[1:]))}")
+        return argv, command, []
+    if command == "sse-pair":
+        pair = draw(st.lists(st.sampled_from(_FLAG_VALUES[1:]), min_size=2, max_size=2))
+        return ["evaluate", "--sse-pair", *pair], command, []
     formats = st.sampled_from(["generic", "trends", "transactions"])
     form = draw(formats)
     argv = [command, "--format", form]
     flags = [] if command == "fit" else ["--height-fraction", "--tail-constant"]
     if command == "forecast":
         flags.append("--horizon")
+    values = st.none() | st.sampled_from(_FLAG_VALUES)  # mostly the default
     for flag in flags:
-        value = draw(st.none() | st.sampled_from(_FLAG_VALUES))  # mostly the default
+        value = draw(values | st.integers(0, 1000).map(str) if flag == "--horizon" else values)
         if value is not None:
             argv.append(f"{flag}={value}")
     count = draw(st.integers(1, 2)) if command == "batch" else 1
@@ -928,15 +1030,23 @@ def test_main_exits_cleanly_and_writes_only_inside_the_output_directory(case):
             (root / f"in{k}").mkdir()
             paths.append(root / f"in{k}" / name)
             paths[-1].write_bytes(data)
+        work = root / "work"  # the working directory, where synth writes
+        work.mkdir()
+        out = work if command == "synth" else root / "out" / "o"
+        if command != "synth":
+            argv = [*argv, *map(str, paths), "--output-dir", str(out)]
         before = set(root.rglob("*"))
-        out = root / "out" / "o"
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main([*argv, *map(str, paths), "--output-dir", str(out)])
-            except SystemExit as exc:  # argparse's usage error
-                assert exc.code == 2
-                code = None
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2
+            code = None
+        finally:
+            os.chdir(cwd)
         assert code in (None, 0, 2, 3, 4)
         if code and command != "batch":
             lines = err.getvalue().splitlines()

@@ -194,6 +194,18 @@ class TestGenerateMonoPeak:
         assert np.all(series.demands >= clipped - 1e-12)
         assert np.all(series.demands <= base + spec.noise_amplitude + 1e-12)
 
+    @pytest.mark.parametrize("spec,start", [(MonoPeakSpec(n=2**70, peak_time=1), "2004-01"),
+                                            (MonoPeakSpec(), "2004-13")],
+                             ids=["past_9999_12", "start_not_a_month"])
+    def test_labels_are_checked_before_any_value_is_made(self, monkeypatch, spec, start):
+        # Made value by value, 2**70 of them would never return.
+        def unreachable(spec, t):
+            raise AssertionError(f"value {t} made before the labels were checked")
+
+        monkeypatch.setattr(basscast.synthetic, "mono_peak_value", unreachable)
+        with pytest.raises(ParameterError):
+            generate_mono_peak(spec, start_period=start)
+
     def test_unit_is_synthetic(self):
         assert generate_mono_peak(MonoPeakSpec()).unit == "synthetic"
 
