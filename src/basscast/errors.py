@@ -7,8 +7,8 @@ class BasscastError(Exception):
     row is the 1-based physical line of the input file that raised the error,
     or None when no single line did; a row is named in the message as a
     "row N: " prefix. exit_code is the command line's exit status for the
-    error: 2 for an input or format problem (the default), 3 for a numeric or
-    fit problem.
+    error: 2 for an input or format problem (the default), 3 for a
+    NumericError.
     """
 
     exit_code = 2
@@ -36,42 +36,38 @@ class ParameterError(BasscastError):
     """A function argument was outside its documented range."""
 
 
-class InsufficientDataError(BasscastError):
-    """Too few observations to fit the model."""
+class NumericError(BasscastError):
+    """Base class for a numeric or fit problem; the command line exits 3."""
 
     exit_code = 3
 
 
-class SingularFitError(BasscastError):
+class InsufficientDataError(NumericError):
+    """Too few observations to fit the model."""
+
+
+class SingularFitError(NumericError):
     """The regression has no unique finite solution.
 
     Raised when the design matrix is rank deficient, or when float64
     overflow on very large demands leaves no finite fit.
     """
 
-    exit_code = 3
-
     def __init__(self, message: str, columns: tuple[str, ...] = ()):
         self.columns = columns
         super().__init__(message)
 
 
-class NonDiffusionShapeError(BasscastError):
+class NonDiffusionShapeError(NumericError):
     """Fitted coefficients do not describe a diffusion curve (c >= 0 or a <= 0)."""
 
-    exit_code = 3
 
-
-class NoRealMarketSizeError(BasscastError):
+class NoRealMarketSizeError(NumericError):
     """The market-size quadratic has no real positive root."""
 
-    exit_code = 3
 
-
-class DivergenceError(BasscastError):
+class DivergenceError(NumericError):
     """Simulated cumulative demand blew past the overflow guard."""
-
-    exit_code = 3
 
     def __init__(self, message: str, period: int | None = None):
         self.period = period
@@ -82,13 +78,11 @@ class ShapeError(BasscastError):
     """Two sequences that must align have different lengths."""
 
 
-class UndefinedBaselineError(BasscastError):
+class UndefinedBaselineError(NumericError):
     """Improvement percentage is undefined for this baseline or modified SSE.
 
     The baseline must be positive and finite, the modified SSE non-negative and finite.
     """
-
-    exit_code = 3
 
 
 class DegeneratePlotError(BasscastError):

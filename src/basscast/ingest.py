@@ -139,11 +139,12 @@ def _split_series(text: str, date_column: str | int, value_column: str | int) ->
     This is the whole-file path of parse_generic_csv. It takes only a text
     where str.split cuts the cells csv.reader would: no '"', no NUL (which
     csv.reader rejects before Python 3.11), every CR part of a CRLF, a first
-    line that is the header (not blank) and names both columns, every line
-    holding as many commas as the header, and no line longer than
-    csv.field_size_limit(). It returns None for any other text, and for one
-    whose cells do not convert or whose series does not validate; the row
-    loop then reads the text and names the row at fault.
+    line that is the header (not blank), every line holding as many commas as
+    the header, and no line longer than csv.field_size_limit(). It returns
+    None for any other text, and for one whose cells do not convert or whose
+    series does not validate; the row loop then reads the text and names the
+    row at fault. It raises in one case only: a header that lacks a selected
+    column raises the row loop's FormatError for row 1.
     """
     if '"' in text or "\0" in text:
         return None
@@ -162,11 +163,9 @@ def _split_series(text: str, date_column: str | int, value_column: str | int) ->
     commas = len(header) - 1
     if set(map(str.count, lines, itertools.repeat(","))) != {commas}:
         return None
-    try:
-        date_idx = _resolve_column(date_column, header, 1)
-        value_idx = _resolve_column(value_column, header, 1)
-    except FormatError:
-        return None
+    # Line 1 is also the row loop's first row, with the same cells, so the error is the loop's.
+    date_idx = _resolve_column(date_column, header, 1)
+    value_idx = _resolve_column(value_column, header, 1)
     del lines  # freed before the cells are built, to lower a large file's peak memory
     cells = text.replace("\n", ",").split(",")
     step = commas + 1

@@ -35,32 +35,6 @@ def detect_peak(series: TimeSeries) -> tuple[int, float]:
     return idx, float(series.demands[idx])
 
 
-def detect_tail_start(series: TimeSeries, height_fraction: float = DEFAULT_HEIGHT_FRACTION) -> int:
-    """First post-peak index where demand drops to the height-fraction threshold.
-
-    The threshold is measured over the curve's actual range:
-    height_fraction * (peak - min) + min. Returns n when no post-peak value
-    crosses it (empty tail).
-    """
-    n = len(series)
-    if n < 2:
-        raise ParameterError(f"tail detection needs at least 2 points, got {n}")
-    return _tail_start(series, height_fraction, *detect_peak(series))
-
-
-def _tail_start(series: TimeSeries, height_fraction: float, peak_index: int, peak: float) -> int:
-    """detect_tail_start from a known peak, for any length: a singleton's tail is empty (n)."""
-    if not 0.0 < height_fraction < 1.0:
-        raise ParameterError(f"height_fraction must be in (0, 1), got {height_fraction}")
-    min_value = float(series.demands.min())
-    threshold = height_fraction * (peak - min_value) + min_value
-    n = len(series)
-    for i in range(peak_index + 1, n):
-        if series.demands[i] <= threshold:
-            return i
-    return n
-
-
 def compute_ratios(tail_per: float, scale: float = DEFAULT_RATIO_SCALE) -> tuple[float, float]:
     """Correction ratios (r1, r2) for a given tail proportion.
 
@@ -89,10 +63,20 @@ def profile(
     height_fraction: float = DEFAULT_HEIGHT_FRACTION,
     ratio_scale: float = DEFAULT_RATIO_SCALE,
 ) -> TailProfile:
-    """Compose peak detection, tail start, tail_per, and the ratio formulas."""
+    """Compose peak detection, tail start, tail_per, and the ratio formulas.
+
+    The tail starts at the first post-peak index where demand drops to the
+    threshold height_fraction * (peak - min) + min, measured over the curve's
+    actual range; it is n when no post-peak value crosses it (empty tail).
+    """
+    if not 0.0 < height_fraction < 1.0:
+        raise ParameterError(f"height_fraction must be in (0, 1), got {height_fraction}")
     n = len(series)
     peak_index, peak_value = detect_peak(series)
-    tail_start = _tail_start(series, height_fraction, peak_index, peak_value)
+    min_value = float(series.demands.min())
+    threshold = height_fraction * (peak_value - min_value) + min_value
+    crossed = series.demands[peak_index + 1:] <= threshold
+    tail_start = peak_index + 1 + int(crossed.argmax()) if crossed.any() else n
     tail_per = (n - tail_start) / n
     r1, r2 = compute_ratios(tail_per, ratio_scale)
     return TailProfile(

@@ -1,7 +1,7 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately brute force and kept separate from the code
-under test: exact rational normal equations instead of an orthogonal solve,
+under test: exact integer normal equations instead of an orthogonal solve,
 compensated summation instead of running sums, linear scans instead of argmax.
 """
 from __future__ import annotations
@@ -48,7 +48,7 @@ def lagged_cumulative(values) -> list[float]:
     return out
 
 
-def _det3(m: list[list[Fraction]]) -> Fraction:
+def _det3(m: list[list[int]]) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -59,29 +59,35 @@ def _det3(m: list[list[Fraction]]) -> Fraction:
 def normal_equations_fit(demands) -> tuple[float, float, float, float]:
     """Exact least-squares (a, b, c, sse) for demand on lagged cumulative demand.
 
-    Floats convert to Fractions losslessly, so building and solving the 3x3
-    normal equations in rational arithmetic yields the exact minimiser of the
-    float data; Cramer's rule is plenty for a 3x3 system.
+    Every float is an integer over a power of two, so scaling the demands by
+    the largest denominator L makes them, their running sums D and D**2
+    integers. The scaled regression d*L = a*L + b*(D*L) + (c/L)*(D*L)**2 has
+    the same minimiser, so the 3x3 normal equations and Cramer's rule run in
+    exact integer arithmetic, with one Fraction division per result at the end.
     """
-    d = [Fraction(float(x)) for x in demands]
-    D = [Fraction(0)]
+    ratios = [float(x).as_integer_ratio() for x in demands]
+    scale = max(den for _, den in ratios)
+    d = [num * (scale // den) for num, den in ratios]
+    D = [0]
     for x in d[:-1]:
         D.append(D[-1] + x)
-    cols = [[Fraction(1)] * len(d), D, [x * x for x in D]]
+    cols = [[1] * len(d), D, [x * x for x in D]]
     ata = [[sum(ci * cj for ci, cj in zip(c1, c2)) for c2 in cols] for c1 in cols]
     rhs = [sum(ci * di for ci, di in zip(c1, d)) for c1 in cols]
     det = _det3(ata)
     if det == 0:
         raise ZeroDivisionError("normal equations are singular")
-    beta = []
+    dets = []
     for k in range(3):
         mk = [row[:] for row in ata]
         for i in range(3):
             mk[i][k] = rhs[i]
-        beta.append(_det3(mk) / det)
-    a, b, c = beta
-    sse = sum((di - a - b * Di - c * Di * Di) ** 2 for di, Di in zip(d, D))
-    return float(a), float(b), float(c), float(sse)
+        dets.append(_det3(mk))
+    # The scaled solution is dets/det = (a*L, b, c/L); each residual, times det, is an integer.
+    residuals = (det * di - dets[0] - dets[1] * Di - dets[2] * Di * Di for di, Di in zip(d, D))
+    sse = Fraction(sum(r * r for r in residuals), (det * scale) ** 2)
+    return (float(Fraction(dets[0], det * scale)), float(Fraction(dets[1], det)),
+            float(Fraction(dets[2] * scale, det)), float(sse))
 
 
 def quadratic_sse(demands, a: float, b: float, c: float) -> float:

@@ -18,7 +18,6 @@ from basscast import (
     TimeSeries,
     compare_models,
     compute_ratios,
-    detect_tail_start,
     fit_quadratic,
     forecast,
     generate_mono_peak,
@@ -119,7 +118,7 @@ def test_c5_tail_detection_matches_oracle_and_closed_form():
             seed=trial,
         )
         series = generate_mono_peak(spec)
-        assert detect_tail_start(series) == scan_tail_start(series.demands, 0.5), spec
+        assert profile(series).tail_start_index == scan_tail_start(series.demands, 0.5), spec
 
         quiet = generate_mono_peak(
             MonoPeakSpec(**{**spec.__dict__, "noise_amplitude": 0.0})
@@ -128,7 +127,7 @@ def test_c5_tail_detection_matches_oracle_and_closed_form():
             spec.peak_height - spec.plateau_level
         )
         analytic = min(spec.peak_time + math.ceil(-math.log(ratio) / spec.decay_rate), spec.n)
-        assert abs(detect_tail_start(quiet) - analytic) <= 1, spec
+        assert abs(profile(quiet).tail_start_index - analytic) <= 1, spec
     ok("C5", "200 randomized fixtures match the scan oracle exactly; noiseless within 1 period")
 
 

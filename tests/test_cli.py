@@ -828,6 +828,7 @@ EXIT_CODES = {
     ParameterError: 2,
     ShapeError: 2,
     DegeneratePlotError: 2,
+    errors.NumericError: 3,
     InsufficientDataError: 3,
     SingularFitError: 3,
     DivergenceError: 3,
@@ -848,6 +849,13 @@ def test_every_error_class_has_a_pinned_exit_code():
     classes = {value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, BasscastError)}
     assert classes <= set(EXIT_CODES)
+
+
+def test_exit_code_has_one_owner_per_value():
+    # Exit code 3 is inherited from NumericError, never restated by a subclass.
+    owners = {value for value in vars(errors).values()
+              if isinstance(value, type) and "exit_code" in vars(value)}
+    assert owners == {BasscastError, errors.NumericError}
 
 
 @pytest.mark.parametrize("command", [[], ["fit"], ["forecast"], ["evaluate"], ["plot"],

@@ -376,6 +376,14 @@ def test_split_path_builds_no_stringio():
             parse_generic_csv('"period",demand\n' + text.split("\n", 1)[1])
 
 
+def test_split_path_raises_a_missing_column_without_the_row_loop():
+    # The row loop copies the text into a StringIO; the split path reads the header itself.
+    with mock.patch.object(ingest.io, "StringIO", side_effect=AssertionError("StringIO built")):
+        with pytest.raises(FormatError, match="column 'missing' not found") as err:
+            parse_generic_csv("period,demand\np1,1\np2,2\n", "period", "missing")
+    assert err.value.row == 1
+
+
 @pytest.mark.parametrize("flaw", ["quoted labels", "blank line"])
 def test_row_loop_reads_a_written_generic_csv_the_split_path_refuses(monkeypatch, flaw):
     mono = generate_mono_peak(MonoPeakSpec(n=120, peak_time=18))

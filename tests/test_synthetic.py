@@ -9,11 +9,11 @@ from basscast import (
     MonoPeakSpec,
     ParameterError,
     QuadraticCoefficients,
-    detect_tail_start,
     fit_quadratic,
     generate_mono_peak,
     monthly_periods,
     parse_generic_csv,
+    profile,
     to_generic_csv,
 )
 from basscast.synthetic import SplitMix64, mono_peak_value
@@ -164,7 +164,7 @@ class TestGenerateMonoPeak:
             spec.peak_height - spec.plateau_level
         )
         analytic = spec.peak_time + math.ceil(-math.log(ratio) / spec.decay_rate)
-        assert abs(detect_tail_start(series) - analytic) <= 1
+        assert abs(profile(series).tail_start_index - analytic) <= 1
 
     def test_noiseless_tail_approaches_plateau(self):
         spec = MonoPeakSpec(noise_amplitude=0.0, decay_rate=1.5)
@@ -227,7 +227,7 @@ PUBLIC_NAMES = {
     "ParameterError", "QuadraticCoefficients", "ShapeError", "SingularFitError",
     "TailProfile", "TimeSeries", "UndefinedBaselineError", "ValidationError",
     "compare_models", "compute_ratios", "cumulative",
-    "derive_bass_parameters", "detect_peak", "detect_tail_start", "fit_quadratic",
+    "derive_bass_parameters", "detect_peak", "fit_quadratic",
     "forecast", "generate_mono_peak", "improvement_percent", "mae", "mape", "mean_demand",
     "monthly_periods", "parse_generic_csv", "parse_google_trends_csv",
     "parse_transactions_csv", "profile", "render_comparison_svg", "rmse", "sse",

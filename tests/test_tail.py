@@ -9,7 +9,6 @@ from basscast import (
     TimeSeries,
     compute_ratios,
     detect_peak,
-    detect_tail_start,
     monthly_periods,
     profile,
 )
@@ -42,27 +41,23 @@ class TestDetectTailStart:
     def test_hand_trace_mid_peak(self):
         # peak 10 at index 2, min 1, threshold 0.5*9 + 1 = 5.5, first crossing at 4
         s = make([1, 2, 10, 6, 4, 4, 4, 4, 4, 4])
-        assert detect_tail_start(s) == 4
+        assert profile(s).tail_start_index == 4
 
     def test_monotone_series_has_empty_tail(self):
-        assert detect_tail_start(make([1, 2, 3, 4])) == 4
+        assert profile(make([1, 2, 3, 4])).tail_start_index == 4
 
     def test_hand_trace_peak_at_start(self):
-        assert detect_tail_start(make([10, 1, 1, 1])) == 1
+        assert profile(make([10, 1, 1, 1])).tail_start_index == 1
 
     def test_flat_series_crosses_immediately(self):
-        assert detect_tail_start(make([3, 3, 3])) == 1
-
-    def test_needs_two_points(self):
-        with pytest.raises(ParameterError):
-            detect_tail_start(make([5]))
+        assert profile(make([3, 3, 3])).tail_start_index == 1
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5, math.nan])
     def test_height_fraction_range(self, fraction):
         message = re.escape("height_fraction must be in (0, 1)")
         with pytest.raises(ParameterError, match=message):
-            detect_tail_start(make([1, 2, 3]), fraction)
-        # profile skips the post-peak scan on a singleton, but not the check.
+            profile(make([1, 2, 3]), fraction)
+        # A singleton's tail is empty, but its fraction is checked too.
         with pytest.raises(ParameterError, match=message):
             profile(make([5]), fraction)
 
@@ -71,12 +66,13 @@ class TestDetectTailStart:
         st.floats(min_value=0.01, max_value=0.99),
     )
     def test_equals_hand_enumeration(self, demands, fraction):
-        assert detect_tail_start(make(demands), fraction) == scan_tail_start(demands, fraction)
+        start = profile(make(demands), fraction).tail_start_index
+        assert start == scan_tail_start(demands, fraction)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False), min_size=2, max_size=60))
     def test_monotone_in_height_fraction(self, demands):
         s = make(demands)
-        starts = [detect_tail_start(s, f) for f in (0.2, 0.4, 0.6, 0.8)]
+        starts = [profile(s, f).tail_start_index for f in (0.2, 0.4, 0.6, 0.8)]
         assert starts == sorted(starts, reverse=True)
 
 
