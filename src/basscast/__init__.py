@@ -35,7 +35,7 @@ from .ingest import (
 from .series import TimeSeries, cumulative, mean_demand, monthly_periods
 from .svgplot import render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
-from .tail import TailProfile, compute_ratios, detect_peak, profile
+from .tail import TailProfile, compute_ratios, profile
 
 __all__ = [
     "BassParameters",
@@ -64,7 +64,6 @@ __all__ = [
     "compute_ratios",
     "cumulative",
     "derive_bass_parameters",
-    "detect_peak",
     "fit_quadratic",
     "forecast",
     "generate_mono_peak",

@@ -25,18 +25,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    BasscastError,
-    FormatError,
-    NonDiffusionShapeError,
-    NoRealMarketSizeError,
-)
+from .errors import BasscastError, NonDiffusionShapeError, NoRealMarketSizeError
 from .evaluation import EvaluationReport, compare_models, improvement_percent
 from .fitting import derive_bass_parameters, fit_quadratic
 from .forecast import _MODES, ModelVariant, forecast
 from .ingest import (
     LESS_THAN_ONE_POLICIES,
     csv_text,
+    decode_utf8,
     parse_generic_csv,
     parse_google_trends_csv,
     parse_transactions_csv,
@@ -55,16 +51,7 @@ _FORMATS = ("generic", "trends", "transactions")
 
 def load_series(path: str | Path, args: argparse.Namespace) -> TimeSeries:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        # One decode of the whole file makes the error's offset a file offset. Line ends are
-        # not translated: the parsers split CR, LF and CRLF themselves.
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        head = exc.object[:exc.start]  # the file after any BOM, up to the bad byte
-        row = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise FormatError(f"not UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})",
-                          row=row) from None
+        text = decode_utf8(fh.read())
     if args.format == "trends":
         return parse_google_trends_csv(text, args.less_than_one)
     if args.format == "transactions":
@@ -115,7 +102,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     _write(args.output_dir, {
         "forecast.json": _json({
             "variant_used": result.variant_used.value,
-            "correction_term": result.correction_term,
+            "correction_term": result.candidates[result.variant_used].correction,
             "mode": args.mode,
             "horizon": args.horizon,
             "clamp_nonnegative": args.clamp_nonnegative,

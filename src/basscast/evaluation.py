@@ -81,11 +81,13 @@ def sse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> flo
 def improvement_percent(sse_classical: float, sse_modified: float) -> float:
     """Relative SSE reduction of the modified model, in percent of the classical SSE.
 
-    The baseline must be positive and finite, and the modified SSE, a sum of
-    squares, non-negative and finite. An SSE that overflowed float64 is inf;
-    inf - inf or x / inf gives NaN and x - inf gives -inf, which report.json
-    cannot hold.
+    Two zero SSEs give 0.0. Otherwise the baseline must be positive and
+    finite, and the modified SSE, a sum of squares, non-negative and finite.
+    An SSE that overflowed float64 is inf; inf - inf or x / inf gives NaN and
+    x - inf gives -inf, which report.json cannot hold.
     """
+    if sse_classical == 0.0 == sse_modified:
+        return 0.0
     if not 0.0 < sse_classical < math.inf:
         raise UndefinedBaselineError(
             f"improvement is undefined for baseline SSE {sse_classical}"
@@ -140,8 +142,8 @@ def compare_models(
     Comparison covers the observed range only. With the default auto variant
     classical is in the candidate set, so the improvement can never be
     negative; forcing a specific modified variant can make it negative when
-    the correction hurts. A classical SSE that overflows float64 raises
-    UndefinedBaselineError, as improvement_percent does.
+    the correction hurts. The improvement and its UndefinedBaselineError are
+    improvement_percent's.
     """
     variant = _as_variant(variant)
     first = ModelVariant.AUTO if variant is ModelVariant.AUTO else ModelVariant.CLASSICAL
@@ -154,13 +156,12 @@ def compare_models(
     modified = results[-1]
     sse_classical = baseline.sse
     sse_modified = modified.candidates[modified.variant_used].sse
-    improvement = 0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
     mape_value, mape_skipped = mape(series, modified.predicted)
     return EvaluationReport(
         sse_classical=sse_classical,
         sse_modified=sse_modified,
         variant_used=modified.variant_used,
-        improvement_percent=improvement,
+        improvement_percent=improvement_percent(sse_classical, sse_modified),
         mode=mode,
         tail_profile=tail,
         rmse=math.sqrt(sse_modified / len(series)),

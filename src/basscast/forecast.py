@@ -87,10 +87,6 @@ class ForecastResult:
     variant_used: ModelVariant
     candidates: Mapping[ModelVariant, Candidate]
 
-    @property
-    def correction_term(self) -> float:
-        return self.candidates[self.variant_used].correction
-
 
 def _correction_for(variant: ModelVariant, tail: TailProfile, mean: float) -> float:
     """The constant added to each prediction of one of the three candidate variants."""

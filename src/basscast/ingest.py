@@ -18,7 +18,7 @@ Three formats are supported:
 Every row-by-row read walks _rows, which skips blank rows (no cells, or only
 whitespace in them). Row numbers in error messages, and in the errors'
 ``row`` attribute, are 1-based and count every physical line, header,
-metadata and blank lines included.
+metadata and blank lines included, in decode_utf8 too.
 """
 from __future__ import annotations
 
@@ -40,6 +40,21 @@ LESS_THAN_ONE_POLICIES = {"as_half": 0.5, "as_zero": 0.0, "as_one": 1.0}
 # A transactions log may span at most this many months, zero-filled ones included,
 # so a mistyped year fails instead of padding centuries of zero months.
 MAX_TRANSACTION_MONTHS = 1200
+
+
+def decode_utf8(data: bytes) -> str:
+    """A file's bytes as text after any UTF-8 BOM, or FormatError naming the bad byte's row.
+
+    One decode of the whole file makes the error's offset a file offset. Line
+    ends are not translated: the parsers split CR, LF and CRLF themselves.
+    """
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]  # the file after any BOM, up to the bad byte
+        row = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"not UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})",
+                          row=row) from None
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -315,5 +330,11 @@ def csv_text(header: Sequence[str], labels: Sequence[str], *columns: np.ndarray)
 
 
 def to_generic_csv(series: TimeSeries) -> str:
-    """Serialise a series as generic CSV that parse_generic_csv round-trips."""
+    """Serialise a series as generic CSV that parse_generic_csv round-trips.
+
+    The reader strips each cell, so a label with outer whitespace raises ParameterError.
+    """
+    for label in series.periods:
+        if label != label.strip():
+            raise ParameterError(f"period label {label!r} has leading or trailing whitespace")
     return csv_text(("period", "demand"), series.periods, series.demands)

@@ -29,12 +29,6 @@ class TailProfile:
     r2: float
 
 
-def detect_peak(series: TimeSeries) -> tuple[int, float]:
-    """Index and value of the global maximum demand; ties go to the earliest index."""
-    idx = int(series.demands.argmax())
-    return idx, float(series.demands[idx])
-
-
 def compute_ratios(tail_per: float, scale: float = DEFAULT_RATIO_SCALE) -> tuple[float, float]:
     """Correction ratios (r1, r2) for a given tail proportion.
 
@@ -63,7 +57,7 @@ def profile(
     height_fraction: float = DEFAULT_HEIGHT_FRACTION,
     ratio_scale: float = DEFAULT_RATIO_SCALE,
 ) -> TailProfile:
-    """Compose peak detection, tail start, tail_per, and the ratio formulas.
+    """Compose the peak (the first global maximum), tail start, tail_per, and the ratio formulas.
 
     The tail starts at the first post-peak index where demand drops to the
     threshold height_fraction * (peak - min) + min, measured over the curve's
@@ -72,7 +66,8 @@ def profile(
     if not 0.0 < height_fraction < 1.0:
         raise ParameterError(f"height_fraction must be in (0, 1), got {height_fraction}")
     n = len(series)
-    peak_index, peak_value = detect_peak(series)
+    peak_index = int(series.demands.argmax())
+    peak_value = float(series.demands[peak_index])
     min_value = float(series.demands.min())
     threshold = height_fraction * (peak_value - min_value) + min_value
     crossed = series.demands[peak_index + 1:] <= threshold

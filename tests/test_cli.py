@@ -201,6 +201,53 @@ class TestEvaluateCommand:
         assert values[1] == pytest.approx(79.3, abs=0.05)
         assert values[2] == pytest.approx(40.25, abs=0.01)
 
+    def test_sse_pair_of_two_zeros_is_no_change(self, capsys):
+        assert main(["evaluate", "--sse-pair", "0", "0"]) == 0
+        assert capsys.readouterr().out == "improvement_percent 0.0\n"
+
+    @pytest.mark.parametrize("variant", ["auto", "classical"])
+    def test_exact_fit_reports_no_improvement(self, tmp_path, variant):
+        csv_path = write_noiseless(tmp_path / "series.csv", n=33)
+        assert main(["evaluate", str(csv_path), "--variant", variant,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["sse_classical"], report["sse_modified"]) == (0.0, 0.0)
+        assert report["improvement_percent"] == 0.0
+        assert report["variant_used"] == "classical"
+
+    @pytest.mark.parametrize("variant", ["modified_add", "modified_subtract"])
+    def test_forced_correction_on_an_exact_fit_exits_3(self, tmp_path, capsys, variant):
+        # improvement_percent is the one rule: a zero baseline under a positive modified SSE
+        # has no improvement, here as under --sse-pair.
+        csv_path = write_noiseless(tmp_path / "series.csv", n=33)
+        assert main(["evaluate", str(csv_path), "--variant", variant,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: improvement is undefined for baseline SSE 0.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["modified_add", "modified_subtract"])
+    def test_forced_correction_on_an_exact_fit_fails_plot_and_batch(self, tmp_path, capsys,
+                                                                     variant):
+        # plot and each batch input build the same report as evaluate, so they fail alike.
+        exact = write_noiseless(tmp_path / "exact.csv", n=33)
+        assert main(["plot", str(exact), "--variant", variant,
+                     "--output-dir", str(tmp_path / "plot")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: improvement is undefined for baseline SSE 0.0\n"
+        assert not (tmp_path / "plot").exists()
+        good = write_mono_peak(tmp_path / "good.csv")
+        assert main(["batch", str(exact), str(good), "--variant", variant,
+                     "--output-dir", str(tmp_path / "batch")]) == 3
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"{exact}: failed: improvement is undefined for baseline SSE 0.0",
+            f"{good}: ok",
+        ]
+        assert not (tmp_path / "batch" / "exact").exists()
+        assert (tmp_path / "batch" / "good" / "compare.svg").exists()
+
     def test_sse_pair_with_infinite_baseline_exits_3(self, capsys):
         assert main(["evaluate", "--sse-pair", "inf", "1"]) == 3
         captured = capsys.readouterr()
@@ -1106,7 +1153,7 @@ def test_predictions_csv_bytes_match_csv_writer(table):
     assert text == old or _read_back(old) != rows
 
 
-@given(st.lists(_LABELS, min_size=1, max_size=12, unique=True), st.data())
+@given(st.lists(_LABELS.map(str.strip), min_size=1, max_size=12, unique=True), st.data())
 def test_generic_csv_bytes_match_csv_writer(labels, data):
     labels = sorted(labels)
     values = data.draw(st.lists(_FLOATS, min_size=len(labels), max_size=len(labels)))

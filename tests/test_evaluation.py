@@ -29,7 +29,7 @@ from basscast import (
     sse,
 )
 from basscast.synthetic import SplitMix64
-from conftest import mono_peak_specs
+from conftest import EXACT_COEFFS, generate_bass_series, mono_peak_specs
 from oracles import sse_fsum, two_call_compare_models
 
 
@@ -104,6 +104,11 @@ class TestImprovementPercent:
 
     def test_perfect_fix_is_hundred(self):
         assert improvement_percent(123.4, 0.0) == 100.0
+
+    def test_two_zero_sses_are_no_change(self):
+        # An exact fit that the modified model matches; a zero baseline under a positive
+        # modified SSE still raises (test_nonpositive_baseline_rejected).
+        assert improvement_percent(0.0, 0.0) == 0.0
 
     def test_worse_model_goes_negative(self):
         assert improvement_percent(100.0, 150.0) == -50.0
@@ -304,3 +309,54 @@ class TestOneForecastPassMatchesTwoCallReference:
         kwargs = {"mode": mode, "variant": variant}
         assert (comparison(compare_models, *args, **kwargs)
                 == comparison(two_call_compare_models, *args, **kwargs))
+
+
+def assert_one_improvement_rule(series, coeffs, tail, **kwargs):
+    """compare_models reports improvement_percent of its own SSE pair, or both raise."""
+    shared = {k: v for k, v in kwargs.items() if k != "variant"}
+    try:
+        classical = forecast(series, coeffs, tail, variant=ModelVariant.CLASSICAL, **shared)
+        chosen = forecast(series, coeffs, tail, **kwargs)
+    except DivergenceError:
+        with pytest.raises(DivergenceError):
+            compare_models(series, coeffs, tail, **kwargs)
+        return
+    pair = (classical.candidates[ModelVariant.CLASSICAL].sse,
+            chosen.candidates[chosen.variant_used].sse)
+    try:
+        expected = improvement_percent(*pair)
+    except UndefinedBaselineError:
+        with pytest.raises(UndefinedBaselineError):
+            compare_models(series, coeffs, tail, **kwargs)
+        return
+    report = compare_models(series, coeffs, tail, **kwargs)
+    assert (report.sse_classical, report.sse_modified) == pair
+    assert report.improvement_percent == expected
+
+
+class TestOneImprovementRule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(list(ModelVariant)),
+    )
+    def test_report_improvement_is_improvement_percent(self, spec, mode, clamp, variant):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        assert_one_improvement_rule(series, coeffs, profile(series), mode=mode,
+                                    clamp_nonnegative=clamp, variant=variant)
+
+    # The exact series gives a zero classical SSE, which a forced correction cannot match;
+    # random specs do not reach one. test_overflowing_sse_raises_undefined_baseline covers inf.
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_zero_baseline(self, mode, clamp, variant):
+        series = generate_bass_series(EXACT_COEFFS, 33)
+        assert_one_improvement_rule(series, EXACT_COEFFS, profile(series), mode=mode,
+                                    clamp_nonnegative=clamp, variant=variant)

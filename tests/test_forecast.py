@@ -81,7 +81,7 @@ class TestSimulatedMode:
             variant=ModelVariant.CLASSICAL,
         )
         assert result.variant_used is ModelVariant.CLASSICAL
-        assert result.correction_term == 0.0
+        assert result.candidates[result.variant_used].correction == 0.0
         np.testing.assert_allclose(result.predicted, noiseless_series.demands, atol=1e-9)
         assert sse(noiseless_series, result.predicted) < 1e-12
 
@@ -141,7 +141,7 @@ class TestOneStepMode:
             ):
                 modified = forecast(series, coeffs, tail,
                                     mode="one_step", variant=variant)
-                assert modified.correction_term == corr
+                assert modified.candidates[modified.variant_used].correction == corr
                 gap = np.abs(modified.predicted - classical.predicted - corr)
                 assert gap.max() < 1e-12
 
@@ -252,7 +252,6 @@ class TestAutoSelection:
             assert len(candidate.curve) == n
         winner = result.candidates[result.variant_used]
         assert winner.curve.tobytes() == result.predicted[:n].tobytes()
-        assert result.correction_term == winner.correction
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -301,7 +300,7 @@ class TestAutoSelection:
         tail = profile(series)
         coeffs = fit_quadratic(series)
         result = forecast(series, coeffs, tail, variant=ModelVariant.AUTO)
-        if result.correction_term == 0.0:
+        if result.candidates[result.variant_used].correction == 0.0:
             assert result.variant_used is not ModelVariant.MODIFIED_ADD
 
 

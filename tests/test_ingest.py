@@ -590,6 +590,19 @@ def test_stamp_only_later_pythons_read_names_row(stamp):
 
 
 class TestRowNumbers:
+    def test_undecodable_byte_names_its_row_by_the_parsers_rule(self):
+        # A BOM, then a CRLF, a bare CR and a CRLF before the bad byte on physical line 4.
+        data = b"\xef\xbb\xbfperiod,demand\r\n2020-01,1\r2020-02,2\r\n2020-03,\xe93\n"
+        with pytest.raises(FormatError) as err:
+            ingest.decode_utf8(data)
+        assert err.value.row == 4
+        assert str(err.value) == "row 4: not UTF-8: invalid continuation byte (byte 0xe9)"
+        text = ingest.decode_utf8(data.replace(b"\xe93", b"x"))
+        assert text == "period,demand\r\n2020-01,1\r2020-02,2\r\n2020-03,x\n"
+        with pytest.raises(FormatError) as err:
+            parse_generic_csv(text)
+        assert err.value.row == 4
+
     @pytest.mark.parametrize("text,cls,row", [
         ("ts,count\n2020-01-01,1\n\n\n2020-02-01,2\nbogus,3\n", FormatError, 6),
         ("ts,count\n2020-01-01,1e308\n2020-01-02,1e308\n", ValidationError, 3),
@@ -762,6 +775,18 @@ class TestGenericCsvRoundTrip:
     def test_bytes_are_stable(self):
         series = TimeSeries(monthly_periods(3), [1.0, 2.0, 3.0])
         assert to_generic_csv(series) == to_generic_csv(series)
+
+    @pytest.mark.parametrize("labels,bad", [
+        (["a", "a "], "a "),       # read back as "a" twice, which does not ascend
+        ([" a"], " a"),
+        (["a", "b\t", "c "], "b\t"),
+        (["a\n"], "a\n"),         # quoted, yet stripped once read
+    ])
+    def test_label_with_outer_whitespace_is_refused(self, labels, bad):
+        series = TimeSeries(labels, [1.0] * len(labels))
+        with pytest.raises(ParameterError) as err:
+            to_generic_csv(series)
+        assert str(err.value) == f"period label {bad!r} has leading or trailing whitespace"
 
     # labels may contain the CSV metacharacters, line breaks included, away from
     # their ends (the parser strips those); quoting must round-trip them

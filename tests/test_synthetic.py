@@ -227,7 +227,7 @@ PUBLIC_NAMES = {
     "ParameterError", "QuadraticCoefficients", "ShapeError", "SingularFitError",
     "TailProfile", "TimeSeries", "UndefinedBaselineError", "ValidationError",
     "compare_models", "compute_ratios", "cumulative",
-    "derive_bass_parameters", "detect_peak", "fit_quadratic",
+    "derive_bass_parameters", "fit_quadratic",
     "forecast", "generate_mono_peak", "improvement_percent", "mae", "mape", "mean_demand",
     "monthly_periods", "parse_generic_csv", "parse_google_trends_csv",
     "parse_transactions_csv", "profile", "render_comparison_svg", "rmse", "sse",

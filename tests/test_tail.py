@@ -8,7 +8,6 @@ from basscast import (
     ParameterError,
     TimeSeries,
     compute_ratios,
-    detect_peak,
     monthly_periods,
     profile,
 )
@@ -20,21 +19,26 @@ def make(demands):
     return TimeSeries(monthly_periods(len(demands)), demands)
 
 
-class TestDetectPeak:
+def peak(series):
+    p = profile(series)
+    return p.peak_index, p.peak_value
+
+
+class TestProfilePeak:
     def test_simple(self):
-        assert detect_peak(make([1, 9, 3])) == (1, 9.0)
+        assert peak(make([1, 9, 3])) == (1, 9.0)
 
     def test_tie_goes_to_earliest(self):
-        assert detect_peak(make([4, 7, 7, 2])) == (1, 7.0)
+        assert peak(make([4, 7, 7, 2])) == (1, 7.0)
 
     def test_matches_linear_scan_on_random_series(self):
         rng = SplitMix64(500)
         demands = [rng.next_float() * 100.0 for _ in range(500)]
-        assert detect_peak(make(demands)) == scan_argmax(demands)
+        assert peak(make(demands)) == scan_argmax(demands)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False), min_size=1, max_size=120))
     def test_equals_scan_argmax(self, demands):
-        assert detect_peak(make(demands)) == scan_argmax(demands)
+        assert peak(make(demands)) == scan_argmax(demands)
 
 
 class TestDetectTailStart:
