@@ -282,7 +282,7 @@ class TestEvaluateCommand:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["variant_used"] == "modified_subtract"
-        assert report["improvement_percent"] == 7.297567105369658
+        assert report["improvement_percent"] == 7.297567105369511
 
     def test_forced_variant_flag(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")

@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
+import basscast
 from basscast import (
     InsufficientDataError,
     NoRealMarketSizeError,
@@ -11,11 +16,13 @@ from basscast import (
     cumulative,
     derive_bass_parameters,
     fit_quadratic,
+    generate_mono_peak,
     monthly_periods,
 )
+from basscast.fitting import _one_step
 from basscast.synthetic import SplitMix64
-from conftest import generate_bass_series
-from oracles import normal_equations_fit, quadratic_sse
+from conftest import generate_bass_series, mono_peak_specs
+from oracles import normal_equations_fit, quadratic_sse, sse_fsum
 
 
 def make(demands):
@@ -114,6 +121,81 @@ class TestFitQuadratic:
         fit1 = fit_quadratic(noiseless_series)
         fit2 = fit_quadratic(relabeled)
         assert (fit1.a, fit1.b, fit1.c) == (fit2.a, fit2.b, fit2.c)
+
+
+def full_rank_series(spec):
+    """The spec's series, assumed to have three distinct cumulative values, which [1, D, D**2]
+    needs for full rank; n=5 with a spike then zeros has two and is rightly singular."""
+    series = generate_mono_peak(spec)
+    assume(len(set(cumulative(series).tolist())) >= 3)
+    return series
+
+
+class TestAgainstExactArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=mono_peak_specs())
+    def test_fit_matches_the_exact_normal_equations(self, spec):
+        # Each coefficient's error is weighted by the largest size its term reaches, |D|**k,
+        # and compared with the fitted curve's: a coefficient near zero has no meaningful
+        # relative error of its own. The worst seen, over thousands of specs, was 1e-13.
+        series = full_rank_series(spec)
+        fit = fit_quadratic(series)
+        exact = normal_equations_fit(series.demands)[:3]
+        top = float(np.abs(cumulative(series)).max())
+        weights = (1.0, top, top * top)
+        got = (fit.a, fit.b, fit.c)
+        error = sum(w * abs(g - e) for w, g, e in zip(weights, got, exact))
+        assert error <= 1e-12 * sum(w * abs(want) for w, want in zip(weights, exact))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=mono_peak_specs())
+    def test_sse_is_within_the_summation_bound_of_fsum(self, spec):
+        # Pairwise summation of n nonnegative terms is within (n - 1) rounding errors of their
+        # exact sum; the oracle's squares by ** and its final rounding add at most 3 more.
+        series = full_rank_series(spec)
+        fit = fit_quadratic(series)
+        predicted = _one_step(fit.a, fit.b, fit.c, 0.0, cumulative(series))
+        exact = sse_fsum(series.demands, predicted)
+        assert abs(fit.residual_sse - exact) <= (len(series) + 2) * 2.0**-53 * exact
+
+
+# Attributes that reach BLAS or LAPACK: np.dot and ndarray.dot, np.linalg and the rest.
+BLAS_ATTRIBUTES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg",
+                   "polyfit", "cov", "corrcoef"}
+
+
+def blas_uses(source):
+    """'line: form' of each '@', BLAS-reaching attribute or numpy.linalg import in source."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+            uses.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            uses += [(node.lineno, f"import {name}") for name in names
+                     if name.startswith("numpy.") and BLAS_ATTRIBUTES & set(name.split("."))]
+    return [f"{line}: {form}" for line, form in sorted(uses)]
+
+
+class TestNoBlasOrLapack:
+    # The fit and every SSE stay off BLAS and LAPACK: the kernel OpenBLAS runs depends on the
+    # CPU, and with it the payload bytes, and LAPACK's first call faults ~1.1 MiB of library
+    # pages into the process.
+    def test_no_source_file_reaches_blas(self):
+        sources = sorted(Path(basscast.__file__).parent.glob("*.py"))
+        assert len(sources) > 1
+        assert [f"{path.name}:{use}" for path in sources
+                for use in blas_uses(path.read_text(encoding="utf-8"))] == []
+
+    def test_the_scan_sees_each_form(self):
+        source = ("import numpy.linalg\nfrom numpy import dot\nx @ y\nx @= y\n"
+                  "np.linalg.svd(x)\nx.dot(y)\nnp.einsum('i,i', x, y)\nnp.add.reduce(x * y)\n")
+        assert blas_uses(source) == ["1: import numpy.linalg", "2: import numpy.dot", "3: @",
+                                     "4: @", "5: .linalg", "6: .dot", "7: .einsum"]
 
 
 class TestDeriveBassParameters:

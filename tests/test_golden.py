@@ -5,16 +5,28 @@ written as generic CSV or, for the ingest cases, as a transactions log, a
 Trends export, a CSV with named columns, or generic CSVs with CRLF line
 ends, quoted labels or blank lines. It compares the SHA-256 of every
 payload file it writes, its exit code and its stderr to the constants below.
-Regenerate the constants only in a change that states why the bytes change.
-The fit goes through LAPACK's SVD, so another BLAS build may change last
-digits and with them these digests.
+Regenerate the constants only in a change that states why the bytes change;
+``python tests/test_golden.py`` prints the whole matrix as JSON.
+
+The fit and every SSE use numpy elementwise ops and its pairwise add
+reduction, never BLAS or LAPACK, so the digests are the same on every CPU and
+BLAS kernel. test_digests_do_not_depend_on_the_blas_kernel reruns the matrix
+under several OpenBLAS kernels to keep it so.
 """
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import basscast
 from basscast import MonoPeakSpec, generate_mono_peak, to_generic_csv
 from basscast.cli import main
 from basscast.synthetic import SplitMix64
@@ -72,42 +84,42 @@ DIVERGED = "error: simulated cumulative demand exceeded 1e+15 at period 293\n"
 
 GOLDEN = {
     ("fit", "n180"): (0, "", {
-        "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
+        "fit.json": "068b162422c2657d33430894df4a1f5b0096f63c1f657dd7bd3b3e5ac64d206b",
     }),
     # n360's fitted c is positive, so its fit.json holds derivation_error non_diffusion_shape.
     ("fit", "n360"): (0, "", {
-        "fit.json": "eb77d91f3328a2167ea46995296f6292be18c16c766a9adce8e359111a8abf60",
+        "fit.json": "ab053f1b839f64eedf41468800a1afb8b7f85509a4abd5f346c857ff92b84e79",
     }),
     ("evaluate", "n180"): (0, "", {
-        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
-        "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+        "predictions.csv": "da7dee160df206bcae598f800bfa69dbafddc9893eba0788fe1c5de29036dae0",
+        "report.json": "1bc05e2205f91fcf3dcf0f910c64efd606c8079c58923c1af815665311422515",
     }),
     ("evaluate", "n360"): (3, DIVERGED, {}),
     ("evaluate_both", "n180"): (0, "", {
-        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
-        "report.json": "2a9b7a8725a48c68fef94646a2db0c61e90f41d60d1d9548a7be4d04d6c3073a",
+        "predictions.csv": "da7dee160df206bcae598f800bfa69dbafddc9893eba0788fe1c5de29036dae0",
+        "report.json": "056e2b7f780b28da3015077acc5e069286c5747937730013f22a9b524da91064",
     }),
     ("evaluate_both", "n360"): (3, DIVERGED, {}),
     ("evaluate_subtract_clamped", "n180"): (0, "", {
-        "predictions.csv": "66c1364f5e9158c6c1fe3931b5b03f4c361477480e92934274cba44ba58414f9",
-        "report.json": "0d986fa6cbf65ff044313b0307069e1c22bd06d3abb477b053c655ff03eaebf0",
+        "predictions.csv": "a3e108f2f529bde5c2bdd4ba870f7e4bea720c1108bf40cba31af857da1b9714",
+        "report.json": "478929bac6e511ddf28d31db67b366f7fb143130cd718dd57b4d795b583e6193",
     }),
     ("evaluate_subtract_clamped", "n360"): (0, "", {
-        "predictions.csv": "cb4ef09870b6aac0863d60dff799fab9c36bf43f37b9a5a973a013d9b09b22c6",
-        "report.json": "487a4f032e7c4f3b5914a554300f7c6cf82130cecc10e442c5f338ecadbdac99",
+        "predictions.csv": "d55ff1192fed97a0e435e88d3e8ab2eedb1c33889e657b697035c2d68d439531",
+        "report.json": "72cba941d64a283bcae7139c1212f08326bb88c2d0a811e2af89cc0522fb37a8",
     }),
     ("forecast_h24", "n180"): (0, "", {
-        "forecast.json": "5688cc79af4b4dba9da1db15e994118837fc78021fae154987cbcf00ae737ef6",
-        "predictions.csv": "04a3b98363ac05d944f4738ac48a973ff60cdcca76672f2a2b7df25c7fd5a656",
+        "forecast.json": "78cef36b3207237db6b9c480e8d047d3e2e7e5954261a2240406c12cd857981e",
+        "predictions.csv": "ec36deae39513a64057c81a879cb417d26ef59b72b6e760143e4ddd67cbeeff8",
     }),
     ("forecast_h24", "n360"): (3, DIVERGED, {}),
     ("forecast_one_step_add_h5", "n180"): (0, "", {
-        "forecast.json": "0daad10e2734b9d0bd793eaeb25db41b90907a3373db3ab5e88e5e98393e47f6",
-        "predictions.csv": "ae5dc4e37b9dd67e283dbc80595eaec6a186f417eb180abcf20400f0e4588f37",
+        "forecast.json": "69758458bfadb01ab8329a521fc3b92fce15d01c7d2d60af540b1edddf1f219b",
+        "predictions.csv": "d226b8bb915da44b807281be6aad744bdc1f6a2b3c983af511bddc1dd117701d",
     }),
     ("forecast_one_step_add_h5", "n360"): (0, "", {
-        "forecast.json": "6e50f18bc099c90e67dd31a4f1f268d522d394019dee9d24804236786e1a78e6",
-        "predictions.csv": "00cb5584596039e0528c373c94c8065cdf7b80c62cb037abfed07646b9a1de69",
+        "forecast.json": "2488c5d29184bf315320411a1a275fd624cf8a52ba882e7b7822d7ce63dbab2d",
+        "predictions.csv": "9edbb0613c2c27d6dc6bc193cc60141b811e0f7ae73442935410fec7d48de01a",
     }),
     ("plot", "n180"): (0, "", {
         "compare.svg": "a71abab91dabff2593169565c268fc4734f69b768d0559ec833370b2439e4602",
@@ -115,8 +127,8 @@ GOLDEN = {
     ("plot", "n360"): (3, DIVERGED, {}),
     ("batch", None): (3, "", {
         "n180/compare.svg": "a71abab91dabff2593169565c268fc4734f69b768d0559ec833370b2439e4602",
-        "n180/predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
-        "n180/report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+        "n180/predictions.csv": "da7dee160df206bcae598f800bfa69dbafddc9893eba0788fe1c5de29036dae0",
+        "n180/report.json": "1bc05e2205f91fcf3dcf0f910c64efd606c8079c58923c1af815665311422515",
     }),
 }
 
@@ -199,35 +211,96 @@ INGEST_CASES = {
 
 INGEST_GOLDEN = {
     "transactions": (0, "", {
-        "predictions.csv": "7499c10e02fca7f86c6ce331edc63df7752c0140435aba35724289ea99293554",
-        "report.json": "6af18b7eac0a397420c7dcaa0b292dbdc9604d04446bf88c2afeb683b9f73b1d",
+        "predictions.csv": "62246b330adc8d103705c8a558f289518bc5fa0421cc92f363f89d76fc0420f7",
+        "report.json": "8c05f39486714db2c624502b364c3cd274f1f56db412ae6a56525849dca44322",
     }),
     "trends_as_zero": (0, "", {
-        "predictions.csv": "37f86e61db7621429abf4304976675877fe13bae6ae6fd5a87bfc7f9ba16c643",
-        "report.json": "02019a6103fe1c1f3baf47f04fbf73e5ba3f15f3042d4b904cfd3c69cfd077a8",
+        "predictions.csv": "6e254df9a200353042accf787ebb288c4b8bc2057422aa6fdd30d59bb654b96f",
+        "report.json": "92bcfbc1004e49164f4d3a7057ef8bc8a9ad4661f689f3ce78a390d7ca99b687",
     }),
     "fit_named_columns": (0, "", {
-        "fit.json": "5dbd7028a0f4c2ce2c5459bd7aa03af8ab4697816e090f840b972c3defc9a43e",
+        "fit.json": "068b162422c2657d33430894df4a1f5b0096f63c1f657dd7bd3b3e5ac64d206b",
     }),
     # The parser splits CRLF line ends itself, so this equals ("evaluate", "n180").
     "generic_crlf": (0, "", {
-        "predictions.csv": "36c7aae652b3c4a592677d20a85eff22856fd5d3d15a6278cf4d8afed9fe489e",
-        "report.json": "cf28aab07bbce7e2a0e23dbb9560b9c7d4ba6de4b4338e8e7d66f63ba8f549db",
+        "predictions.csv": "da7dee160df206bcae598f800bfa69dbafddc9893eba0788fe1c5de29036dae0",
+        "report.json": "1bc05e2205f91fcf3dcf0f910c64efd606c8079c58923c1af815665311422515",
     }),
     "generic_quoted_labels": (0, "", {
-        "predictions.csv": "9cd4f00eceeb33fa92afa92fd02a17eeb2bf5c921171483d21a5e48a689f95f1",
-        "report.json": "572c51b20bcbf2e9b5063ffe766c1f46aab68c27902f06b52f4170a3b07dece0",
+        "predictions.csv": "dff03fd81faa2d671739abe8854f289c6c0413a91494fbaceada30361d48681d",
+        "report.json": "2eb0348064026f4ec742ef23c8f05844fb0b7808ba4ca824726ddbbbdb235340",
     }),
     "generic_blank_lines": (0, "", {
-        "predictions.csv": "5821a346abdb5a7bade984c9ab3c0a58449b1b3bf30b4f24f8c7821d339e502e",
-        "report.json": "70b0c4cd1a24349249e5649fe5fdb427745057a05a6344e6ea1c534f32c8de6c",
+        "predictions.csv": "92b4fef5ff1a8166a2eab15d0afa5a9f74a7d68580410b4561537dc04464b976",
+        "report.json": "f79545f029ea472db57ed5e0efa479b3f3922e2a18aa53c08f03dc5f89d4e318",
     }),
 }
 
 
-@pytest.mark.parametrize("case", INGEST_CASES)
-def test_ingest_payload_bytes_and_exit_code_are_golden(tmp_path, case):
+def run_ingest_case(tmp_path, case):
+    """Exit code, stderr and digests of one ingest case, run in the existing tmp_path."""
     text, command = INGEST_CASES[case]
     path = tmp_path / "input.csv"
     path.write_bytes(text().encode("utf-8"))
-    assert run_main([*command, str(path)], tmp_path / "out") == INGEST_GOLDEN[case]
+    return run_main([*command, str(path)], tmp_path / "out")
+
+
+@pytest.mark.parametrize("case", INGEST_CASES)
+def test_ingest_payload_bytes_and_exit_code_are_golden(tmp_path, case):
+    assert run_ingest_case(tmp_path, case) == INGEST_GOLDEN[case]
+
+
+def golden_matrix(root):
+    """Every case above run under root, as JSON-shaped {case: [exit code, stderr, digests]}."""
+    matrix = {}
+    for command, fixture in CASES:
+        case_dir = Path(root, f"{command}-{fixture}")
+        case_dir.mkdir()
+        matrix[f"{command}/{fixture}"] = list(run_case(case_dir, command, fixture))
+    for case in INGEST_CASES:
+        case_dir = Path(root, f"ingest-{case}")
+        case_dir.mkdir()
+        matrix[f"ingest/{case}"] = list(run_ingest_case(case_dir, case))
+    return matrix
+
+
+def golden_constants():
+    """GOLDEN and INGEST_GOLDEN in golden_matrix's shape."""
+    matrix = {f"{command}/{fixture}": list(GOLDEN[command, fixture]) for command, fixture in CASES}
+    matrix.update({f"ingest/{case}": list(INGEST_GOLDEN[case]) for case in INGEST_CASES})
+    return matrix
+
+
+def openblas_configuration():
+    """The "openblas configuration" numpy reports for its BLAS, or "" if it reports none."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 takes no mode and returns nothing
+        return ""
+    return blas.get("openblas configuration", "")
+
+
+# The generic x86-64, AVX2 and AVX-512 kernels. The variable only picks the kernels BLAS calls
+# would run, so a matrix that makes none completes even on a CPU without AVX-512.
+BLAS_KERNELS = ("Prescott", "Haswell", "SkylakeX")
+
+
+@pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in openblas_configuration().split(),
+    reason="numpy is not linked to an OpenBLAS DYNAMIC_ARCH build, so OPENBLAS_CORETYPE "
+           "selects no kernel",
+)
+def test_digests_do_not_depend_on_the_blas_kernel():
+    env = {**os.environ, "PYTHONPATH": str(Path(basscast.__file__).resolve().parents[1])}
+    runs = {}
+    for kernel in BLAS_KERNELS:
+        done = subprocess.run([sys.executable, __file__], env={**env, "OPENBLAS_CORETYPE": kernel},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[kernel] = json.loads(done.stdout)
+    assert runs == {kernel: golden_constants() for kernel in BLAS_KERNELS}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        print(json.dumps(golden_matrix(root), indent=1))
