@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ShapeError, UndefinedBaselineError, ValidationError
 from .fitting import QuadraticCoefficients, _sse
-from .forecast import ModelVariant, _as_variant, forecast
+from .forecast import ModelVariant, forecast
 from .series import TimeSeries
 from .tail import TailProfile
 
@@ -58,10 +58,14 @@ def _aligned(
     """Both value arrays, a series read as its demands.
 
     Raises ShapeError, EmptyInputError, or ValidationError naming the argument
-    that holds a NaN or infinity, which no metric can report.
+    that is not one-dimensional or holds a NaN or infinity, which no metric
+    can report.
     """
     a, p = (x.demands if isinstance(x, TimeSeries) else np.asarray(x, dtype=np.float64)
             for x in (actual, predicted))
+    for name, values in (("actual", a), ("predicted", p)):
+        if values.ndim != 1:
+            raise ValidationError(f"{name} must be one-dimensional, got shape {values.shape}")
     if a.shape != p.shape:
         raise ShapeError(f"actual has length {a.size}, predicted has length {p.size}")
     if not a.size:
@@ -137,37 +141,31 @@ def compare_models(
     variant: ModelVariant = ModelVariant.AUTO,
     clamp_nonnegative: bool = False,
 ) -> EvaluationReport:
-    """Run the classical and the (auto- or explicitly) modified forecast and compare.
+    """Compare the classical curve with the (auto- or explicitly) chosen one, from one forecast.
 
-    Comparison covers the observed range only. With the default auto variant
-    classical is in the candidate set, so the improvement can never be
-    negative; forcing a specific modified variant can make it negative when
-    the correction hurts. The improvement and its UndefinedBaselineError are
-    improvement_percent's.
+    Comparison covers the observed range only. The baseline is the classical
+    record every forecast holds. With the default auto variant classical is
+    also a choice, so the improvement can never be negative; forcing a
+    specific modified variant can make it negative when the correction hurts.
+    The improvement and its UndefinedBaselineError are improvement_percent's.
     """
-    variant = _as_variant(variant)
-    first = ModelVariant.AUTO if variant is ModelVariant.AUTO else ModelVariant.CLASSICAL
-    # The first call generates classical, so its divergence is the one raised.
-    results = [forecast(series, coeffs, tail, mode=mode, variant=v,
-                        clamp_nonnegative=clamp_nonnegative)
-               for v in dict.fromkeys((first, variant))]
-    # forecast already computed each curve's SSE to choose among its candidates.
-    baseline = results[0].candidates[ModelVariant.CLASSICAL]
-    modified = results[-1]
-    sse_classical = baseline.sse
-    sse_modified = modified.candidates[modified.variant_used].sse
-    mape_value, mape_skipped = mape(series, modified.predicted)
+    result = forecast(series, coeffs, tail, mode=mode, variant=variant,
+                      clamp_nonnegative=clamp_nonnegative)
+    # forecast's candidate records already hold each curve's SSE.
+    baseline = result.candidates[ModelVariant.CLASSICAL]
+    sse_classical, sse_modified = baseline.sse, result.candidates[result.variant_used].sse
+    mape_value, mape_skipped = mape(series, result.predicted)
     return EvaluationReport(
         sse_classical=sse_classical,
         sse_modified=sse_modified,
-        variant_used=modified.variant_used,
+        variant_used=result.variant_used,
         improvement_percent=improvement_percent(sse_classical, sse_modified),
         mode=mode,
         tail_profile=tail,
         rmse=math.sqrt(sse_modified / len(series)),
-        mae=mae(series, modified.predicted),
+        mae=mae(series, result.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
         classical_predicted=baseline.curve,
-        modified_predicted=modified.predicted,
+        modified_predicted=result.predicted,
     )

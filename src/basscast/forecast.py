@@ -17,6 +17,7 @@ subtractive one, with r1/r2 taken from the tail profile.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -50,15 +51,6 @@ _AUTO_CANDIDATES = (
 _MODES = ("one_step", "simulated")
 
 
-def _as_variant(variant: ModelVariant | str) -> ModelVariant:
-    """The ModelVariant that variant is or names; any other value raises ParameterError."""
-    try:
-        return ModelVariant(variant)
-    except ValueError:
-        raise ParameterError(f"variant must be one of {tuple(v.value for v in ModelVariant)}, "
-                             f"got {variant!r}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class Candidate:
     """One variant's read-only in-sample curve, with what selection and the horizon need of it.
@@ -79,8 +71,9 @@ class Candidate:
 class ForecastResult:
     """Predicted demand sequence, the variant that produced it, and the candidates it chose from.
 
-    ``candidates`` maps each variant this call generated to its record: all
-    three for ``auto``, else only the requested one.
+    ``candidates`` maps each variant this call generated to its record, in
+    generation order: all three for ``auto``, else classical and the requested
+    variant, so every result holds the classical baseline.
     """
 
     predicted: np.ndarray = field(repr=False)
@@ -176,25 +169,36 @@ def forecast(
 ) -> ForecastResult:
     """Generate the predicted demand sequence for the observed range plus horizon.
 
-    With variant ``auto`` the in-sample SSE of all three variants is computed
-    in the given mode and the minimiser wins; ties break in the order
-    classical, modified_add, modified_subtract, so the correction is only
-    applied when it strictly helps. The mean demand entering the correction is
-    computed once from the observed series and frozen for the whole horizon.
+    Classical is generated first for every variant, so its DivergenceError is
+    the one raised when it diverges. With variant ``auto`` the in-sample SSE of
+    all three variants is computed in the given mode and the minimiser wins;
+    ties break in the order classical, modified_add, modified_subtract, so the
+    correction is only applied when it strictly helps. The mean demand entering
+    the correction is computed once from the observed series and frozen for the
+    whole horizon.
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
+    try:
+        horizon = operator.index(horizon)
+    except TypeError:
+        raise ParameterError(f"horizon must be an integer, got {horizon!r}") from None
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    variant = _as_variant(variant)
+    try:
+        variant = ModelVariant(variant)
+    except ValueError:
+        raise ParameterError(f"variant must be one of {tuple(v.value for v in ModelVariant)}, "
+                             f"got {variant!r}") from None
     mean = mean_demand(series)
     lagged = cumulative(series) if mode == "one_step" else None
-    variants = _AUTO_CANDIDATES if variant is ModelVariant.AUTO else (variant,)
+    auto = variant is ModelVariant.AUTO
+    variants = _AUTO_CANDIDATES if auto else dict.fromkeys((ModelVariant.CLASSICAL, variant))
     candidates = {v: _candidate(series, coeffs, _correction_for(v, tail, mean), clamp_nonnegative,
                                 lagged)
                   for v in variants}
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
-    chosen = min(candidates, key=lambda v: candidates[v].sse)
+    chosen = min(candidates, key=lambda v: candidates[v].sse) if auto else variant
     winner = candidates[chosen]
     predicted = winner.curve
     if horizon:

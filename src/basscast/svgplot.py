@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 
-from .errors import DegeneratePlotError
+from .errors import DegeneratePlotError, ShapeError
 from .evaluation import EvaluationReport
 from .series import TimeSeries
 
@@ -74,12 +74,16 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     The actual, classical and modified curves are drawn as polylines (solid,
     dashed, dash-dot) over the observed range with linear min-max scaling, a
     legend, axis labels and a caption carrying the SSE and improvement figures.
+    Raises ShapeError when the report's curves are not as long as the series.
     """
     _check_points(series)
     n = len(series)
     actual = series.demands
     classical = report.classical_predicted
     modified = report.modified_predicted
+    if not len(classical) == len(modified) == n:
+        raise ShapeError(f"series has length {n}, the report's curves have lengths "
+                         f"{len(classical)} and {len(modified)}")
 
     x0, x1 = float(_MARGIN_LEFT), float(VIEW_WIDTH - _MARGIN_RIGHT)
     y0, y1 = float(VIEW_HEIGHT - _MARGIN_BOTTOM), float(_MARGIN_TOP)

@@ -74,11 +74,4 @@ def profile(
     tail_start = peak_index + 1 + int(crossed.argmax()) if crossed.any() else n
     tail_per = (n - tail_start) / n
     r1, r2 = compute_ratios(tail_per, ratio_scale)
-    return TailProfile(
-        peak_index=peak_index,
-        peak_value=peak_value,
-        tail_start_index=tail_start,
-        tail_per=tail_per,
-        r1=r1,
-        r2=r2,
-    )
+    return TailProfile(peak_index, peak_value, tail_start, tail_per, r1, r2)

@@ -22,6 +22,7 @@ from basscast import (
     EmptyInputError,
     FormatError,
     InsufficientDataError,
+    ModelVariant,
     MonoPeakSpec,
     NonDiffusionShapeError,
     NoRealMarketSizeError,
@@ -34,6 +35,9 @@ from basscast import (
     ValidationError,
     cli,
     errors,
+    evaluation,
+    fit_quadratic,
+    forecast,
     generate_mono_peak,
     ingest,
     monthly_periods,
@@ -204,6 +208,19 @@ class TestEvaluateCommand:
     def test_sse_pair_of_two_zeros_is_no_change(self, capsys):
         assert main(["evaluate", "--sse-pair", "0", "0"]) == 0
         assert capsys.readouterr().out == "improvement_percent 0.0\n"
+
+    def test_exact_fit_precondition_the_n33_fit_is_exact(self):
+        """fit_quadratic reproduces the noiseless n=33 series with a zero SSE.
+
+        That holds by the solve's rounding, not by construction (the fit is exact at few
+        lengths), and these tests rely on it:
+        test_exact_fit_reports_no_improvement,
+        test_forced_correction_on_an_exact_fit_exits_3 and
+        test_forced_correction_on_an_exact_fit_fails_plot_and_batch. If a change to the solve
+        fails this test, those fail with it; the zero-baseline rule itself is pinned apart from
+        the fit by test_evaluation.py's test_zero_baseline_with_the_generating_coefficients.
+        """
+        assert fit_quadratic(generate_bass_series(EXACT_COEFFS, 33)).residual_sse == 0.0
 
     @pytest.mark.parametrize("variant", ["auto", "classical"])
     def test_exact_fit_reports_no_improvement(self, tmp_path, variant):
@@ -775,6 +792,50 @@ class TestOneCumulativePass:
         monkeypatch.setattr(np, "cumsum", counting)
         assert main([*argv, *paths, "--output-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == inputs
+
+
+# Classical diverges at period 80 on this series, modified_subtract earlier (at 51) and
+# modified_add not at all.
+CLASSICAL_DIVERGES_AT_80 = [
+    "--n", "228", "--peak-time", "71", "--decay-rate", "0.8336556553409036",
+    "--plateau-level", "0.21595006687258333", "--rise-shape", "4.803930614626084",
+    "--noise-amplitude", "7.249968155630864", "--seed", "2243",
+]
+
+
+class TestOneCandidateSet:
+    """Every command generates classical first, so all fail on its divergence alike."""
+
+    @pytest.mark.parametrize("variant", ["modified_add", "modified_subtract"])
+    @pytest.mark.parametrize("command", ["forecast", "evaluate", "plot", "batch"])
+    def test_every_command_fails_on_classicals_divergence(self, tmp_path, capsys, command,
+                                                          variant):
+        path = str(tmp_path / "s.csv")
+        assert main(["synth", *CLASSICAL_DIVERGES_AT_80, "--output", path]) == 0
+        capsys.readouterr()
+        assert main([command, path, "--variant", variant,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        message = "simulated cumulative demand exceeded 1e+15 at period 80"
+        if command == "batch":
+            assert captured.out == f"{path}: failed: {message}\n"
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", [v.value for v in ModelVariant])
+    def test_one_forecast_call_per_comparison(self, tmp_path, monkeypatch, variant):
+        path = str(write_mono_peak(tmp_path / "s.csv"))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["variant"])
+            return forecast(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "forecast", counting)
+        assert main(["evaluate", path, "--variant", variant, "--mode", "one_step",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestSharedCurveFormattedOnce:

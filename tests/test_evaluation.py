@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -57,6 +58,19 @@ class TestSse:
     def test_length_mismatch(self, metric):
         with pytest.raises(ShapeError, match="actual has length 3, predicted has length 2"):
             metric(make([1, 2, 3]), [1.0, 2.0])
+
+    # A scalar or 2-D input has no per-period residual; it raised IndexError or TypeError.
+    @pytest.mark.parametrize("metric", [sse, mae, mape, rmse])
+    @pytest.mark.parametrize("actual,predicted,name,shape", [
+        (1.0, 1.0, "actual", "()"),
+        ([1.0, 2.0], 1.0, "predicted", "()"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "actual", "(2, 2)"),
+        ([1.0, 2.0], [[1.0, 2.0]], "predicted", "(1, 2)"),
+    ], ids=["scalars", "scalar-predicted", "2-D", "2-D-predicted"])
+    def test_inputs_must_be_one_dimensional(self, metric, actual, predicted, name, shape):
+        message = f"{name} must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            metric(actual, predicted)
 
     def test_accepts_plain_sequences(self):
         assert sse([1.0, 2.0], [1.0, 1.0]) == 1.0
@@ -311,6 +325,41 @@ class TestOneForecastPassMatchesTwoCallReference:
                 == comparison(two_call_compare_models, *args, **kwargs))
 
 
+class TestForecastHoldsTheComparedCurves:
+    """forecast puts classical first in every candidate set, so one call is all compare_models
+    needs: it raises the same divergence, or holds the report's two curves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(list(ModelVariant)),
+    )
+    def test_same_divergence_or_same_curves(self, spec, mode, clamp, variant):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        args = (series, coeffs, profile(series))
+        kwargs = {"mode": mode, "variant": variant, "clamp_nonnegative": clamp}
+        try:
+            result = forecast(*args, **kwargs)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as err:
+                compare_models(*args, **kwargs)
+            assert (err.value.period, str(err.value)) == (exc.period, str(exc))
+            return
+        try:
+            report = compare_models(*args, **kwargs)
+        except UndefinedBaselineError:
+            assume(False)  # improvement_percent's rule, tested on its own
+        assert (result.candidates[ModelVariant.CLASSICAL].curve.tobytes()
+                == report.classical_predicted.tobytes())
+        assert result.predicted.tobytes() == report.modified_predicted.tobytes()
+
+
 def assert_one_improvement_rule(series, coeffs, tail, **kwargs):
     """compare_models reports improvement_percent of its own SSE pair, or both raise."""
     shared = {k: v for k, v in kwargs.items() if k != "variant"}
@@ -360,3 +409,20 @@ class TestOneImprovementRule:
         series = generate_bass_series(EXACT_COEFFS, 33)
         assert_one_improvement_rule(series, EXACT_COEFFS, profile(series), mode=mode,
                                     clamp_nonnegative=clamp, variant=variant)
+
+    # The recursion reproduces its own series exactly under the coefficients that made it, so
+    # classical's SSE is 0.0 at every length, whatever the fit's rounding does with that series.
+    @pytest.mark.parametrize("n", [6, 10, 33, 60, 120, 228])
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_zero_baseline_with_the_generating_coefficients(self, n, mode, variant):
+        series = generate_bass_series(EXACT_COEFFS, n)
+        args = (series, EXACT_COEFFS, profile(series))
+        if variant in (ModelVariant.MODIFIED_ADD, ModelVariant.MODIFIED_SUBTRACT):
+            with pytest.raises(UndefinedBaselineError, match="baseline SSE 0.0$"):
+                compare_models(*args, mode=mode, variant=variant)
+            return
+        report = compare_models(*args, mode=mode, variant=variant)
+        assert (report.sse_classical, report.sse_modified) == (0.0, 0.0)
+        assert report.improvement_percent == 0.0
+        assert report.variant_used is ModelVariant.CLASSICAL

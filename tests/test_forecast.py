@@ -3,7 +3,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basscast import (
     DivergenceError,
@@ -59,6 +59,18 @@ class TestForecastSettings:
         coeffs = fit_quadratic(mono_peak_series)
         with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
             forecast(mono_peak_series, coeffs, profile(mono_peak_series), horizon=-1)
+
+    @pytest.mark.parametrize("horizon", [2.5, "3", None], ids=["float", "str", "None"])
+    def test_horizon_must_be_an_integer(self, mono_peak_series, horizon):
+        coeffs = fit_quadratic(mono_peak_series)
+        with pytest.raises(ParameterError, match=f"^horizon must be an integer, got {horizon!r}$"):
+            forecast(mono_peak_series, coeffs, profile(mono_peak_series), horizon=horizon)
+
+    def test_horizon_takes_any_index(self, mono_peak_series):
+        coeffs = fit_quadratic(mono_peak_series)
+        tail = profile(mono_peak_series)
+        assert (forecast(mono_peak_series, coeffs, tail, horizon=np.int64(3)).predicted.tobytes()
+                == forecast(mono_peak_series, coeffs, tail, horizon=3).predicted.tobytes())
 
     def test_unknown_variant(self, mono_peak_series):
         coeffs = fit_quadratic(mono_peak_series)
@@ -230,8 +242,8 @@ class TestAutoSelection:
     @pytest.mark.parametrize("variant,horizon,curves", [
         (ModelVariant.AUTO, 0, 3),
         (ModelVariant.AUTO, 12, 3),                 # the winner is extended, not rerun
-        (ModelVariant.MODIFIED_SUBTRACT, 0, 1),
-        (ModelVariant.MODIFIED_SUBTRACT, 12, 1),
+        (ModelVariant.MODIFIED_SUBTRACT, 0, 2),     # classical, then the requested variant
+        (ModelVariant.MODIFIED_SUBTRACT, 12, 2),
     ])
     def test_candidates_are_the_curves_generated(self, monkeypatch, mono_peak_series,
                                                  variant, horizon, curves):
@@ -245,7 +257,7 @@ class TestAutoSelection:
         assert len(calls) == curves
         expected = ((ModelVariant.CLASSICAL, ModelVariant.MODIFIED_ADD,
                      ModelVariant.MODIFIED_SUBTRACT) if variant is ModelVariant.AUTO
-                    else (variant,))
+                    else (ModelVariant.CLASSICAL, variant))
         assert tuple(result.candidates) == expected
         n = len(mono_peak_series)
         for candidate in result.candidates.values():
@@ -277,8 +289,12 @@ class TestAutoSelection:
             assert not candidate.curve.flags.writeable
             with pytest.raises(dataclasses.FrozenInstanceError):
                 candidate.sse = 0.0
-        best = min(candidate.sse for candidate in result.candidates.values())
-        assert result.candidates[result.variant_used].sse == best
+        assert ModelVariant.CLASSICAL in result.candidates
+        if variant is ModelVariant.AUTO:
+            best = min(candidate.sse for candidate in result.candidates.values())
+            assert result.candidates[result.variant_used].sse == best
+        else:
+            assert result.variant_used is variant
         with pytest.raises(TypeError):
             result.candidates[ModelVariant.AUTO] = result.candidates[result.variant_used]
 
@@ -333,6 +349,11 @@ kernel_floats = st.one_of(st.floats(min_value=-10, max_value=10),
 
 class TestKernelMatchesPerStepReference:
     @settings(max_examples=80, deadline=None)
+    # Simulated classical diverges at period 12; on their own, modified_add would at 10 and
+    # modified_subtract at 9.
+    @example(spec=MonoPeakSpec(n=12, peak_time=9, peak_height=1.0, decay_rate=2.0,
+                               plateau_level=0.0, rise_shape=3.0, noise_amplitude=0.02, seed=0),
+             mode="simulated", clamp=False, horizon=0)
     @given(
         spec=mono_peak_specs(),
         mode=st.sampled_from(["one_step", "simulated"]),
@@ -349,10 +370,13 @@ class TestKernelMatchesPerStepReference:
         mean = mean_demand(series)
         corrections = {ModelVariant.CLASSICAL: 0.0, ModelVariant.MODIFIED_ADD: tail.r1 * mean,
                        ModelVariant.MODIFIED_SUBTRACT: -(tail.r2 * mean)}
+        # forecast generates classical over the observed range first, so its divergence there
+        # is what every variant raises.
+        classical = outcome(per_step_generate, series, coeffs, 0.0, mode, 0, clamp)
         for variant, correction in corrections.items():
             curve = outcome(forecast_curve, series, coeffs, tail, variant, mode, horizon, clamp)
-            assert curve == outcome(per_step_generate, series, coeffs, correction, mode,
-                                    horizon, clamp)
+            expected = outcome(per_step_generate, series, coeffs, correction, mode, horizon, clamp)
+            assert curve == (classical if isinstance(classical, tuple) else expected)
 
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
     @pytest.mark.parametrize("clamp", [False, True])

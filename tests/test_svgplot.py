@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from basscast import (
     DegeneratePlotError,
+    ShapeError,
     TimeSeries,
     compare_models,
     fit_quadratic,
@@ -54,6 +55,17 @@ def test_single_point_is_degenerate():
     with pytest.raises(DegeneratePlotError) as err:
         render_comparison_svg(series, report_stub)
     assert "more data" in str(err.value)
+
+
+def test_report_of_another_length_is_a_shape_error(mono_peak_series):
+    # The report's curves fill the series' template of x coordinates; it raised TypeError.
+    report = compare_models(mono_peak_series, fit_quadratic(mono_peak_series),
+                            profile(mono_peak_series))
+    shorter = TimeSeries(mono_peak_series.periods[:-1], mono_peak_series.demands[:-1])
+    n = len(mono_peak_series)
+    with pytest.raises(ShapeError, match=f"^series has length {n - 1}, the report's curves "
+                                         f"have lengths {n} and {n}$"):
+        render_comparison_svg(shorter, report)
 
 
 def test_flat_series_has_zero_range_but_renders():
