@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -226,7 +227,7 @@ def _exit_code_for(exc: BasscastError | OSError) -> int:
 
 
 def _column_selector(raw: str) -> str | int:
-    return int(raw) if raw.lstrip("+-").isdigit() else raw
+    return int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else raw
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:

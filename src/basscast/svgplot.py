@@ -50,17 +50,6 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
-def _dash_attr(dash: str | None) -> str:
-    return f' stroke-dasharray="{dash}"' if dash else ""
-
-
-def _polyline(points: str, color: str, dash: str | None, label: str) -> str:
-    return (
-        f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
-        f'{_dash_attr(dash)} points="{points}"/>'
-    )
-
-
 def _check_points(series: TimeSeries) -> None:
     """Raise DegeneratePlotError unless series has the 2 points a comparison chart needs."""
     if len(series) < 2:
@@ -74,6 +63,9 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     The actual, classical and modified curves are drawn as polylines (solid,
     dashed, dash-dot) over the observed range with linear min-max scaling, a
     legend, axis labels and a caption carrying the SSE and improvement figures.
+    One pass over the three curves draws each polyline with its legend entry;
+    a curve passed twice as the same array (modified is classical when
+    classical wins) is scaled and formatted once, and both polylines share it.
     Raises ShapeError when the report's curves are not as long as the series.
     """
     _check_points(series)
@@ -94,29 +86,24 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     # three curves that holds a "%.3f" for each y.
     xs = _scale(np.arange(n, dtype=np.float64), 0.0, float(n - 1), x0, x1)
     template = " ".join(["%.3f,%%.3f"] * n) % tuple(xs.tolist())
-    # One row per curve, (id, values, color, dash, legend text), drives its polyline and legend.
+    # One row per curve: (id, values, color, dash attribute, legend text).
     table = [
-        ("actual", actual, _COLOR_ACTUAL, None, "actual"),
-        ("classical", classical, _COLOR_CLASSICAL, "8 5", "classical"),
-        ("modified", modified, _COLOR_MODIFIED, "10 4 2 4",
+        ("actual", actual, _COLOR_ACTUAL, "", "actual"),
+        ("classical", classical, _COLOR_CLASSICAL, ' stroke-dasharray="8 5"', "classical"),
+        ("modified", modified, _COLOR_MODIFIED, ' stroke-dasharray="10 4 2 4"',
          f"modified ({report.variant_used.value})"),
     ]
-    # A curve object drawn twice (modified is classical when classical wins) is scaled once.
-    distinct = {id(values): values for _, values, *_ in table}
-    points = {key: template % tuple(_scale(values, lo, hi, y0, y1).tolist())
-              for key, values in distinct.items()}
-    curves = [_polyline(points[id(values)], color, dash, label)
-              for label, values, color, dash, _ in table]
-    legend = []
-    for i, (_, _, color, dash, text) in enumerate(table):
+    points, curves, legend = {}, [], []
+    for i, (label, values, color, dash, text) in enumerate(table):
+        if id(values) not in points:
+            points[id(values)] = template % tuple(_scale(values, lo, hi, y0, y1).tolist())
+        curves.append(f'<polyline id="{label}" fill="none" stroke="{color}" stroke-width="2"'
+                      f'{dash} points="{points[id(values)]}"/>')
         ly = _MARGIN_TOP + 14 + 20 * i
+        legend.append(f'<line x1="{x1 - 190:.0f}" y1="{ly}" x2="{x1 - 158:.0f}" y2="{ly}" '
+                      f'stroke="{color}" stroke-width="2"{dash}/>')
         legend.append(
-            f'<line x1="{x1 - 190:.0f}" y1="{ly}" x2="{x1 - 158:.0f}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"{_dash_attr(dash)}/>'
-        )
-        legend.append(
-            f'<text x="{x1 - 150:.0f}" y="{ly + 4}" font-size="13">{_escape(text)}</text>'
-        )
+            f'<text x="{x1 - 150:.0f}" y="{ly + 4}" font-size="13">{_escape(text)}</text>')
 
     caption = (
         f"SSE classical {report.sse_classical:.4f} | SSE modified {report.sse_modified:.4f} | "

@@ -214,9 +214,9 @@ def two_call_compare_models(
     )
     sse_classical = sse(series, classical.predicted)
     sse_modified = sse(series, modified.predicted)
-    improvement = (
-        0.0 if sse_classical == 0.0 else improvement_percent(sse_classical, sse_modified)
-    )
+    # The one line not kept verbatim: a zero baseline under a positive modified SSE raises,
+    # as in compare_models, where the two-call version reported 0.0.
+    improvement = improvement_percent(sse_classical, sse_modified)
     mape_value, mape_skipped = mape(series, modified.predicted)
     return EvaluationReport(
         sse_classical=sse_classical,

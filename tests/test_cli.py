@@ -46,7 +46,7 @@ from basscast import (
     synthetic,
     to_generic_csv,
 )
-from basscast.cli import _exit_code_for, build_parser, main
+from basscast.cli import _column_selector, _exit_code_for, build_parser, main
 from basscast.ingest import csv_text
 from conftest import EXACT_COEFFS, generate_bass_series
 from oracles import csv_writer_text
@@ -155,6 +155,22 @@ class TestFitCommand:
                      "--output-dir", str(tmp_path)])
         assert code == 0
         assert json.loads((tmp_path / "fit.json").read_text())["n_obs"] == 30
+
+    # A selector is an index only in ASCII digits; a Unicode digit or a doubled sign is a name.
+    @pytest.mark.parametrize("name", ["²", "٣", "+-3"])
+    def test_non_ascii_digit_selector_is_a_header_name(self, tmp_path, name):
+        by_index = write_noiseless(tmp_path / "series.csv")
+        by_name = tmp_path / "named.csv"
+        by_name.write_text(by_index.read_text().replace("period,demand", f"period,{name}", 1),
+                           encoding="utf-8")
+        assert main(["fit", str(by_index), "--output-dir", str(tmp_path / "index")]) == 0
+        assert main(["fit", str(by_name), "--value-column", name,
+                     "--output-dir", str(tmp_path / "name")]) == 0
+        assert ((tmp_path / "name" / "fit.json").read_bytes()
+                == (tmp_path / "index" / "fit.json").read_bytes())
+
+    def test_ascii_digit_selectors_stay_indices(self):
+        assert [_column_selector(raw) for raw in ("0", "1", "+1", "-1")] == [0, 1, 1, -1]
 
 
 class TestEvaluateCommand:

@@ -266,11 +266,14 @@ class TestCompareModels:
 
 
 def comparison(compare, *args, **kwargs):
-    """Every report field and both curves' bytes, or the DivergenceError's period and message."""
+    """Every report field and both curves' bytes, the DivergenceError's period and message,
+    or the UndefinedBaselineError's class and message."""
     try:
         report = compare(*args, **kwargs)
     except DivergenceError as exc:
         return exc.period, str(exc)
+    except UndefinedBaselineError as exc:
+        return type(exc), str(exc)
     return (report.to_dict(), report.variant_used,
             report.classical_predicted.tobytes(), report.modified_predicted.tobytes())
 
@@ -320,6 +323,17 @@ class TestOneForecastPassMatchesTwoCallReference:
         coeffs = QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0,
                                        n_obs=len(mono_peak_series))
         args = (mono_peak_series, coeffs, profile(mono_peak_series))
+        kwargs = {"mode": mode, "variant": variant}
+        assert (comparison(compare_models, *args, **kwargs)
+                == comparison(two_call_compare_models, *args, **kwargs))
+
+    # The generating coefficients give classical a zero SSE: auto and classical report 0.0,
+    # and both modified variants raise UndefinedBaselineError.
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_zero_baseline(self, mode, variant):
+        series = generate_bass_series(EXACT_COEFFS, 33)
+        args = (series, EXACT_COEFFS, profile(series))
         kwargs = {"mode": mode, "variant": variant}
         assert (comparison(compare_models, *args, **kwargs)
                 == comparison(two_call_compare_models, *args, **kwargs))

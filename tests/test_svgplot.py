@@ -88,15 +88,19 @@ _VALUES = st.one_of(
 )
 
 
+# shared passes the classical array again as modified_predicted, as one object, as
+# compare_models does when classical wins.
 @given(st.integers(min_value=2, max_value=30).flatmap(
-    lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=3, max_size=3)))
-def test_svg_bytes_match_numpy_scalar_formatting(curves):
+    lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=3, max_size=3)),
+    st.booleans())
+def test_svg_bytes_match_numpy_scalar_formatting(curves, shared):
     actual, classical, modified = curves
     series = TimeSeries(monthly_periods(len(actual)), actual)
     small = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1])
+    classical = np.array(classical)
     report = dataclasses.replace(compare_models(small, fit_quadratic(small), profile(small)),
-                                 classical_predicted=np.array(classical),
-                                 modified_predicted=np.array(modified))
+                                 classical_predicted=classical,
+                                 modified_predicted=classical if shared else np.array(modified))
     assert render_comparison_svg(series, report) == numpy_scalar_comparison_svg(series, report)
 
 
