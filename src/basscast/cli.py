@@ -42,7 +42,7 @@ from .ingest import (
 from .series import DEFAULT_START_PERIOD, TimeSeries, extend_period_labels
 from .svgplot import _check_points, render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
-from .tail import DEFAULT_HEIGHT_FRACTION, DEFAULT_RATIO_SCALE, profile
+from .tail import profile
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -95,7 +95,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     coeffs = fit_quadratic(series)
-    tail = profile(series, args.height_fraction, args.tail_constant)
+    tail = profile(series)
     # The labels can fail (past 9999-12 or +9999), so they come before the horizon is generated.
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
@@ -121,7 +121,7 @@ def _compare(
 ) -> dict[str, EvaluationReport]:
     """Fit and profile the series once, then compare the models in each mode."""
     coeffs = fit_quadratic(series)
-    tail = profile(series, args.height_fraction, args.tail_constant)
+    tail = profile(series)
     return {
         mode: compare_models(series, coeffs, tail, mode=mode, variant=args.variant,
                              clamp_nonnegative=args.clamp_nonnegative)
@@ -248,11 +248,6 @@ def _add_model_flags(parser: argparse.ArgumentParser, modes: tuple[str, ...]) ->
                         help="forecast variant (default: auto = lowest in-sample SSE)")
     parser.add_argument("--mode", choices=modes, default="simulated",
                         help="prediction mode (default: simulated)")
-    parser.add_argument("--height-fraction", type=float, default=DEFAULT_HEIGHT_FRACTION,
-                        help="fraction of curve height where the tail starts "
-                             "(default: %(default)s)")
-    parser.add_argument("--tail-constant", type=float, default=DEFAULT_RATIO_SCALE,
-                        help="slope of the r1/r2 ratio formulas (default: %(default)s)")
     parser.add_argument("--clamp-nonnegative", action="store_true",
                         help="floor predictions at zero before accumulation")
 

@@ -63,7 +63,7 @@ class NonDiffusionShapeError(NumericError):
 
 
 class NoRealMarketSizeError(NumericError):
-    """The market-size quadratic has no real positive root."""
+    """The market-size quadratic has no real positive root, or none float64 holds with p and q."""
 
 
 class DivergenceError(NumericError):

@@ -86,9 +86,11 @@ def improvement_percent(sse_classical: float, sse_modified: float) -> float:
     """Relative SSE reduction of the modified model, in percent of the classical SSE.
 
     Two zero SSEs give 0.0. Otherwise the baseline must be positive and
-    finite, and the modified SSE, a sum of squares, non-negative and finite.
-    An SSE that overflowed float64 is inf; inf - inf or x / inf gives NaN and
-    x - inf gives -inf, which report.json cannot hold.
+    finite, the modified SSE, a sum of squares, non-negative and finite, and
+    the percentage within float64. An SSE that overflowed float64 is inf;
+    inf - inf or x / inf gives NaN and x - inf gives -inf, and a tiny
+    baseline under a large modified SSE overflows the quotient to -inf, none
+    of which report.json can hold.
     """
     if sse_classical == 0.0 == sse_modified:
         return 0.0
@@ -100,7 +102,13 @@ def improvement_percent(sse_classical: float, sse_modified: float) -> float:
         raise UndefinedBaselineError(
             f"improvement is undefined for modified SSE {sse_modified}"
         )
-    return (sse_classical - sse_modified) / sse_classical * 100.0
+    percent = (sse_classical - sse_modified) / sse_classical * 100.0
+    if not math.isfinite(percent):
+        raise UndefinedBaselineError(
+            f"improvement overflows float64 for baseline SSE {sse_classical} "
+            f"and modified SSE {sse_modified}"
+        )
+    return percent
 
 
 def rmse(actual: TimeSeries | Sequence[float], predicted: Sequence[float]) -> float:

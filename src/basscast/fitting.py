@@ -187,7 +187,8 @@ def derive_bass_parameters(coeffs: QuadraticCoefficients) -> BassParameters:
     root of c*m**2 + b*m + a = 0, then q = -c*m and p = a/m. Raises
     NonDiffusionShapeError when c >= 0 or a <= 0 (the curve does not decay
     into a finite market) and NoRealMarketSizeError when the discriminant is
-    negative. These are diagnostics; fitting itself never depends on them.
+    negative or float64 cannot hold a positive m and finite p and q. These
+    are diagnostics; fitting itself never depends on them.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     if c >= 0.0:
@@ -203,5 +204,15 @@ def derive_bass_parameters(coeffs: QuadraticCoefficients) -> BassParameters:
         raise NonDiffusionShapeError(
             f"intercept must be positive for a diffusion curve, got a={a}"
         )
-    m = (-b - math.sqrt(disc)) / (2.0 * c)
-    return BassParameters(p=a / m, q=-c * m, m=m)
+    # The two forms of the positive root are equal; each adds terms of one sign, so
+    # neither cancels to 0 when 4ac is small beside b*b.
+    root = math.sqrt(disc)
+    m = (-b - root) / (2.0 * c) if b >= 0.0 else 2.0 * a / (root - b)
+    # An overflowing b*b or 4ac makes disc, and with it m, inf or 0.
+    if 0.0 < m < math.inf:
+        params = BassParameters(p=a / m, q=-c * m, m=m)
+        if math.isfinite(params.p) and math.isfinite(params.q):
+            return params
+    raise NoRealMarketSizeError(
+        f"market size and parameters overflow float64: m={m} for (a={a}, b={b}, c={c})"
+    )

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .series import TimeSeries
 
-DEFAULT_HEIGHT_FRACTION = 0.5
-DEFAULT_RATIO_SCALE = 1.6
+# The paper's rule: the tail starts where demand falls to half the curve's height, and
+# r1 = (tail_per - 0.5) * 1.6. Neither number is a setting.
+HEIGHT_FRACTION = 0.5
+RATIO_SCALE = 1.6
 
 
 @dataclass(frozen=True)
@@ -29,49 +31,36 @@ class TailProfile:
     r2: float
 
 
-def compute_ratios(tail_per: float, scale: float = DEFAULT_RATIO_SCALE) -> tuple[float, float]:
+def compute_ratios(tail_per: float) -> tuple[float, float]:
     """Correction ratios (r1, r2) for a given tail proportion.
 
-    r1 = (tail_per - 0.5) * scale and r2 = 0.5 - r1. r1 is snapped to the
+    r1 = (tail_per - 0.5) * RATIO_SCALE and r2 = 0.5 - r1. r1 is snapped to the
     2**-52 grid so that the complementary subtraction is exact and
     r1 + r2 == 0.5 holds bit-for-bit for every input; the snap moves r1 by
     at most 2**-53 from the raw product. Values are not clamped.
     """
     if not 0.0 <= tail_per <= 1.0:
         raise ParameterError(f"tail_per must be in [0, 1], got {tail_per}")
-    raw = (tail_per - 0.5) * scale
-    # The snap scales r1 by 2**52, which overflows from 2**972 on; a NaN or infinite
-    # r1, from any non-finite scale, fails this test too.
-    if not abs(raw) < 2.0**972:
-        raise ParameterError(
-            f"ratio scale must be finite and small enough for r1 to snap to the 2**-52 grid, "
-            f"got {scale}"
-        )
+    raw = (tail_per - 0.5) * RATIO_SCALE
     r1 = math.ldexp(round(math.ldexp(raw, 52)), -52)
     r2 = 0.5 - r1
     return r1, r2
 
 
-def profile(
-    series: TimeSeries,
-    height_fraction: float = DEFAULT_HEIGHT_FRACTION,
-    ratio_scale: float = DEFAULT_RATIO_SCALE,
-) -> TailProfile:
+def profile(series: TimeSeries) -> TailProfile:
     """Compose the peak (the first global maximum), tail start, tail_per, and the ratio formulas.
 
     The tail starts at the first post-peak index where demand drops to the
-    threshold height_fraction * (peak - min) + min, measured over the curve's
+    threshold HEIGHT_FRACTION * (peak - min) + min, measured over the curve's
     actual range; it is n when no post-peak value crosses it (empty tail).
     """
-    if not 0.0 < height_fraction < 1.0:
-        raise ParameterError(f"height_fraction must be in (0, 1), got {height_fraction}")
     n = len(series)
     peak_index = int(series.demands.argmax())
     peak_value = float(series.demands[peak_index])
     min_value = float(series.demands.min())
-    threshold = height_fraction * (peak_value - min_value) + min_value
+    threshold = HEIGHT_FRACTION * (peak_value - min_value) + min_value
     crossed = series.demands[peak_index + 1:] <= threshold
     tail_start = peak_index + 1 + int(crossed.argmax()) if crossed.any() else n
     tail_per = (n - tail_start) / n
-    r1, r2 = compute_ratios(tail_per, ratio_scale)
+    r1, r2 = compute_ratios(tail_per)
     return TailProfile(peak_index, peak_value, tail_start, tail_per, r1, r2)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basscast import (
     BasscastError,
@@ -62,6 +62,19 @@ def write_mono_peak(path, seed=0):
         to_generic_csv(generate_mono_peak(MonoPeakSpec(seed=seed))), encoding="utf-8"
     )
     return path
+
+
+def generic_csv(*demands):
+    rows = "".join(f"2020-{i:02d},{d!r}\n" for i, d in enumerate(demands, 1))
+    return f"period,demand\n{rows}".encode("utf-8")
+
+
+# Fits whose market size leaves float64 arithmetic: b < 0 with 4ac far below b*b, where
+# -b - sqrt(disc) cancels to 0, and b*b past float64.
+CANCELLING_MARKET_SIZE = generic_csv(0.5, -7e-160, 0.5, -7e-160)
+OVERFLOWING_DISCRIMINANT = generic_csv(1e-10, 1e-300, 1.0, 1e-150, -1.0, 3e-200, 0.0, 1e150)
+# With --variant modified_subtract: a 1e-300 baseline SSE under an SSE of 1.7e19.
+OVERFLOWING_IMPROVEMENT = generic_csv(1e10, 1e10, -1e-300, -1e-150)
 
 
 class TestFitCommand:
@@ -114,6 +127,20 @@ class TestFitCommand:
         assert payload["c"] < 0.0 and payload["b"] ** 2 - 4.0 * payload["a"] * payload["c"] < 0.0
         assert payload["bass_parameters"] is None
         assert payload["derivation_error"] == "no_real_market_size"
+
+    @pytest.mark.parametrize("data,params", [
+        (CANCELLING_MARKET_SIZE, {"p": 0.5000000000000001, "q": 1.3999999999999999e-159,
+                                  "m": 0.9999999999999998}),
+        (OVERFLOWING_DISCRIMINANT, None),
+    ], ids=["cancelling", "overflowing"])
+    def test_fit_with_a_market_size_past_float64_arithmetic_is_written(self, tmp_path, data,
+                                                                       params):
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_bytes(data)
+        assert main(["fit", str(csv_path), "--output-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert payload["bass_parameters"] == params
+        assert payload["derivation_error"] == (None if params else "no_real_market_size")
 
     def test_too_few_rows_exits_3(self, tmp_path):
         csv_path = tmp_path / "short.csv"
@@ -196,17 +223,6 @@ class TestEvaluateCommand:
         read = list(csv.reader(io.StringIO(text, newline="")))
         assert [row[0] for row in read[1:]] == labels
 
-    @pytest.mark.parametrize("constant", ["nan", "inf", "-inf", "1e300"])
-    def test_tail_constant_that_gives_no_ratios_exits_2(self, tmp_path, capsys, constant):
-        csv_path = write_mono_peak(tmp_path / "series.csv")
-        code = main(["evaluate", str(csv_path), f"--tail-constant={constant}",
-                     "--output-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: ratio scale must be finite and small enough for r1 to snap to the "
-            f"2**-52 grid, got {float(constant)}\n")
-        assert not (tmp_path / "out").exists()
-
     def test_sse_pair_diagnostic(self, capsys):
         code = main([
             "evaluate",
@@ -280,6 +296,27 @@ class TestEvaluateCommand:
         ]
         assert not (tmp_path / "batch" / "exact").exists()
         assert (tmp_path / "batch" / "good" / "compare.svg").exists()
+
+    def test_improvement_past_float64_exits_3(self, tmp_path, capsys):
+        message = ("improvement overflows float64 for baseline SSE 1e-300 "
+                   "and modified SSE 1.6769488975707247e+19")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(OVERFLOWING_IMPROVEMENT)
+        for command in ("evaluate", "plot"):
+            assert main([command, str(bad), "--variant", "modified_subtract",
+                         "--output-dir", str(tmp_path / command)]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not (tmp_path / command).exists()
+        good = write_mono_peak(tmp_path / "good.csv")
+        assert main(["batch", str(bad), str(good), "--variant", "modified_subtract",
+                     "--output-dir", str(tmp_path / "batch")]) == 3
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"{bad}: failed: {message}", f"{good}: ok"]
+        assert not (tmp_path / "batch" / "bad").exists()
+        assert (tmp_path / "batch" / "good" / "compare.svg").exists()
+        assert main(["evaluate", "--sse-pair", "1e-300", "1e10"]) == 3
+        assert capsys.readouterr() == ("", "error: improvement overflows float64 for "
+                                           "baseline SSE 1e-300 and modified SSE 10000000000.0\n")
 
     def test_sse_pair_with_infinite_baseline_exits_3(self, capsys):
         assert main(["evaluate", "--sse-pair", "inf", "1"]) == 3
@@ -711,18 +748,6 @@ class TestBatchCommand:
         for name in ("report.json", "predictions.csv", "compare.svg"):
             assert (tmp_path / "out" / "good" / name).exists()
 
-    @pytest.mark.parametrize("constant", ["nan", "1e300"])
-    def test_tail_constant_that_gives_no_ratios_fails_each_input(self, tmp_path, capsys,
-                                                               constant):
-        inputs = [str(write_mono_peak(tmp_path / f"s{i}.csv", seed=i)) for i in range(2)]
-        code = main(["batch", *inputs, "--tail-constant", constant,
-                     "--output-dir", str(tmp_path / "out")])
-        assert code == 2
-        message = ("ratio scale must be finite and small enough for r1 to snap to the "
-                   f"2**-52 grid, got {float(constant)}")
-        assert capsys.readouterr().out.splitlines() == [
-            f"{path}: failed: {message}" for path in inputs]
-
     @pytest.mark.parametrize("flags", [[], ["--mode", "one_step"], ["--clamp-nonnegative"],
                                        ["--variant", "modified_subtract"]])
     def test_payloads_match_separate_evaluate_and_plot(self, tmp_path, flags):
@@ -990,13 +1015,15 @@ def test_help_smoke(command):
     assert err.value.code == 0
 
 
-MODEL_FLAGS = [["--variant", "classical"], ["--mode", "simulated"],
-               ["--height-fraction", "0.5"], ["--tail-constant", "1.6"],
-               ["--clamp-nonnegative"]]
+MODEL_FLAGS = [["--variant", "classical"], ["--mode", "simulated"], ["--clamp-nonnegative"]]
+# The paper's tail rule has fixed numbers, so no subcommand takes a flag for them.
+TAIL_RULE_FLAGS = [["--height-fraction", "0.5"], ["--tail-constant", "1.6"]]
 
 
 @pytest.mark.parametrize("command,flag", [
     *(("fit", flag) for flag in MODEL_FLAGS),
+    *((command, flag) for command in ("fit", "forecast", "evaluate", "plot", "batch")
+      for flag in TAIL_RULE_FLAGS),
     *((command, ["--horizon", "1"]) for command in ("fit", "evaluate", "plot", "batch")),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, command, flag):
@@ -1136,14 +1163,15 @@ def command_lines(draw):
     formats = st.sampled_from(["generic", "trends", "transactions"])
     form = draw(formats)
     argv = [command, "--format", form]
-    flags = [] if command == "fit" else ["--height-fraction", "--tail-constant"]
     if command == "forecast":
-        flags.append("--horizon")
-    values = st.none() | st.sampled_from(_FLAG_VALUES)  # mostly the default
-    for flag in flags:
-        value = draw(values | st.integers(0, 1000).map(str) if flag == "--horizon" else values)
-        if value is not None:
-            argv.append(f"{flag}={value}")
+        # Mostly the default.
+        horizon = draw(st.none() | st.sampled_from(_FLAG_VALUES) | st.integers(0, 1000).map(str))
+        if horizon is not None:
+            argv.append(f"--horizon={horizon}")
+    if command != "fit":
+        variant = draw(st.none() | st.sampled_from([v.value for v in ModelVariant]))
+        if variant is not None:
+            argv.append(f"--variant={variant}")
     count = draw(st.integers(1, 2)) if command == "batch" else 1
     # Mostly a file of the format named, sometimes one of another.
     kinds = [draw(st.just(form) | formats) for _ in range(count)]
@@ -1153,6 +1181,13 @@ def command_lines(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(command_lines())
+@example((["fit"], "fit", [("s.csv", CANCELLING_MARKET_SIZE)]))
+@example((["fit"], "fit", [("s.csv", OVERFLOWING_DISCRIMINANT)]))
+@example((["evaluate", "--variant=modified_subtract"], "evaluate",
+          [("s.csv", OVERFLOWING_IMPROVEMENT)]))
+@example((["plot", "--variant=modified_subtract"], "plot", [("s.csv", OVERFLOWING_IMPROVEMENT)]))
+@example((["batch", "--variant=modified_subtract"], "batch",
+          [("s.csv", OVERFLOWING_IMPROVEMENT), ("in.put.csv", CANCELLING_MARKET_SIZE)]))
 def test_main_exits_cleanly_and_writes_only_inside_the_output_directory(case):
     argv, command, inputs = case
     with tempfile.TemporaryDirectory() as tmp:

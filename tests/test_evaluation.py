@@ -144,6 +144,22 @@ class TestImprovementPercent:
         with pytest.raises(UndefinedBaselineError, match=f"modified SSE {modified}"):
             improvement_percent(1.0, modified)
 
+    @pytest.mark.parametrize("classical,modified", [(1e-300, 1e10), (5e-324, 1.0)])
+    def test_overflowing_quotient_rejected(self, classical, modified):
+        with pytest.raises(UndefinedBaselineError,
+                           match=re.escape(f"improvement overflows float64 for baseline SSE "
+                                           f"{classical} and modified SSE {modified}")):
+            improvement_percent(classical, modified)
+
+    @example(1e-300, 1e10)  # the quotient overflows to -inf
+    @given(st.floats(min_value=0.0, allow_infinity=False),
+           st.floats(min_value=0.0, allow_infinity=False))
+    def test_finite_or_undefined_for_every_finite_pair(self, classical, modified):
+        try:
+            assert math.isfinite(improvement_percent(classical, modified))
+        except UndefinedBaselineError:
+            pass
+
 
 class TestMape:
     def test_skips_zero_periods(self):

@@ -1,9 +1,10 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 import basscast
 from basscast import (
@@ -19,6 +20,7 @@ from basscast import (
     generate_mono_peak,
     monthly_periods,
 )
+from basscast.errors import NumericError
 from basscast.fitting import _one_step
 from basscast.synthetic import SplitMix64
 from conftest import generate_bass_series, mono_peak_specs
@@ -198,6 +200,13 @@ class TestNoBlasOrLapack:
                                      "4: @", "5: .linalg", "6: .dot", "7: .einsum"]
 
 
+# Finite values of either sign, log-uniform over 1e-300 to 1e300, and zero.
+_SPREAD = st.just(0.0) | st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299),
+)
+
+
 class TestDeriveBassParameters:
     def test_worked_root(self):
         params = derive_bass_parameters(
@@ -253,3 +262,37 @@ class TestDeriveBassParameters:
             derive_bass_parameters(
                 QuadraticCoefficients(a=-10.0, b=0.5, c=-0.001, residual_sse=0.0, n_obs=0)
             )
+
+    # Each sign of b takes its own form of the root; both solve c*m**2 + b*m + a = 0.
+    @pytest.mark.parametrize("b", [-0.5, 0.5])
+    def test_root_solves_the_quadratic_for_either_sign_of_b(self, b):
+        a, c = 10.0, -0.001
+        m = derive_bass_parameters(
+            QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0, n_obs=0)).m
+        assert m > 0.0
+        assert c * m * m + b * m + a == pytest.approx(0.0, abs=1e-9 * a)
+
+    def test_root_of_a_small_4ac_under_negative_b_does_not_cancel(self):
+        params = derive_bass_parameters(
+            QuadraticCoefficients(a=0.5, b=-0.5000000000000001, c=-1.4e-159,
+                                  residual_sse=0.0, n_obs=0))
+        assert params.m == pytest.approx(1.0, rel=1e-12)
+        assert params.p == pytest.approx(0.5, rel=1e-12)
+
+    def test_overflowing_discriminant_rejected(self):
+        with pytest.raises(NoRealMarketSizeError, match="overflow float64"):
+            derive_bass_parameters(
+                QuadraticCoefficients(a=1.0, b=1e200, c=-1.0, residual_sse=0.0, n_obs=0))
+
+    # The fits of two CSVs: b < 0 with 4ac far below b*b, and b*b past float64.
+    @example(0.5, -0.5000000000000001, -1.4e-159)
+    @example(2.438866054934369e+142, 1.999999001982389e+159, -1.999999001782389e+159)
+    @given(_SPREAD, _SPREAD, _SPREAD)
+    def test_finite_parameters_or_numeric_error(self, a, b, c):
+        try:
+            params = derive_bass_parameters(
+                QuadraticCoefficients(a=a, b=b, c=c, residual_sse=0.0, n_obs=0))
+        except NumericError:
+            return
+        assert math.isfinite(params.p) and math.isfinite(params.q)
+        assert 0.0 < params.m < math.inf
