@@ -58,13 +58,16 @@ class Candidate:
     ``sse`` is the curve's in-sample SSE, ``inf`` where the squared residuals
     overflow float64. ``running`` is the cumulative demand the curve ends on:
     the kernel's own running total in simulated mode, the observed total in
-    one-step mode. The horizon continues from it with ``correction``.
+    one-step mode. The horizon continues from it with ``correction``. A curve
+    that diverged records its DivergenceError in ``divergence``, and has no
+    curve, an SSE of ``inf`` and a ``running`` of NaN.
     """
 
-    curve: np.ndarray = field(repr=False)
+    curve: np.ndarray | None = field(repr=False)
     sse: float
     correction: float
     running: float
+    divergence: DivergenceError | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,21 +141,24 @@ def _candidate(
     """One variant's record, its curve generated over the observed range only.
 
     ``lagged`` is the series' lagged cumulative demand in one-step mode and
-    None in simulated mode.
+    None in simulated mode. A divergence is recorded, not raised.
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    if lagged is not None:
-        curve = _one_step(a, b, c, correction, lagged)
-        if clamp:
-            curve = np.where(curve < 0.0, 0.0, curve)
-        finite = np.isfinite(curve)
-        if not finite.all():
-            first = int(finite.argmin())
-            raise _divergence(float(curve[first]), first + 1)
-        running = float(lagged[-1]) + float(series.demands[-1])
-    else:
-        values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
-        curve = np.array(values)
+    try:
+        if lagged is not None:
+            curve = _one_step(a, b, c, correction, lagged)
+            if clamp:
+                curve = np.where(curve < 0.0, 0.0, curve)
+            finite = np.isfinite(curve)
+            if not finite.all():
+                first = int(finite.argmin())
+                raise _divergence(float(curve[first]), first + 1)
+            running = float(lagged[-1]) + float(series.demands[-1])
+        else:
+            values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
+            curve = np.array(values)
+    except DivergenceError as exc:
+        return Candidate(None, math.inf, correction, math.nan, exc)
     curve.flags.writeable = False
     return Candidate(curve, _sse(series.demands, curve), correction, running)
 
@@ -194,9 +200,14 @@ def forecast(
     lagged = cumulative(series) if mode == "one_step" else None
     auto = variant is ModelVariant.AUTO
     variants = _AUTO_CANDIDATES if auto else dict.fromkeys((ModelVariant.CLASSICAL, variant))
-    candidates = {v: _candidate(series, coeffs, _correction_for(v, tail, mean), clamp_nonnegative,
-                                lagged)
-                  for v in variants}
+    candidates = {}
+    for v in variants:  # up to the first that diverges, whose error is raised
+        candidates[v] = _candidate(series, coeffs, _correction_for(v, tail, mean),
+                                   clamp_nonnegative, lagged)
+        if candidates[v].divergence:
+            # Popped, so that this frame, which the traceback keeps, holds no path back to
+            # the error: a reference cycle would keep the frame's arrays until a GC pass.
+            raise candidates.pop(v).divergence
     # min keeps the first of equal SSEs, so candidate order is the tie-break order.
     chosen = min(candidates, key=lambda v: candidates[v].sse) if auto else variant
     winner = candidates[chosen]

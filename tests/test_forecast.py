@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -377,6 +379,68 @@ class TestKernelMatchesPerStepReference:
             curve = outcome(forecast_curve, series, coeffs, tail, variant, mode, horizon, clamp)
             expected = outcome(per_step_generate, series, coeffs, correction, mode, horizon, clamp)
             assert curve == (classical if isinstance(classical, tuple) else expected)
+
+    @settings(max_examples=80, deadline=None)
+    @example(spec=MonoPeakSpec(n=12, peak_time=9, peak_height=1.0, decay_rate=2.0,
+                               plateau_level=0.0, rise_shape=3.0, noise_amplitude=0.02, seed=0),
+             mode="simulated", clamp=False, variant=ModelVariant.MODIFIED_ADD)
+    @given(
+        spec=mono_peak_specs(),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(forecast_module._AUTO_CANDIDATES),
+    )
+    def test_each_record_holds_the_divergence_the_reference_raises(self, spec, mode, clamp,
+                                                                   variant):
+        series = generate_mono_peak(spec)
+        try:
+            coeffs = fit_quadratic(series)
+        except SingularFitError:
+            assume(False)
+        correction = forecast_module._correction_for(variant, profile(series),
+                                                     mean_demand(series))
+        lagged = cumulative(series) if mode == "one_step" else None
+        record = _candidate(series, coeffs, correction, clamp, lagged)
+        expected = outcome(per_step_generate, series, coeffs, correction, mode, 0, clamp)
+        if isinstance(expected, tuple):
+            assert (record.divergence.period, str(record.divergence)) == expected
+            assert record.curve is None and record.sse == math.inf
+        else:
+            assert record.divergence is None
+            assert record.curve.tobytes() == expected
+
+    @pytest.mark.parametrize("variant,curves", [
+        (ModelVariant.AUTO, 2),                 # modified_subtract is never generated
+        (ModelVariant.MODIFIED_ADD, 2),
+    ])
+    def test_generation_stops_at_the_first_diverged_candidate(self, monkeypatch, variant,
+                                                              curves):
+        # Classical stays finite; modified_add alone diverges, at period 265.
+        series = generate_mono_peak(MonoPeakSpec(n=360, peak_time=6, seed=0))
+        calls = []
+        monkeypatch.setattr(forecast_module, "_candidate",
+                            lambda *args: calls.append(args) or _candidate(*args))
+        with pytest.raises(DivergenceError, match="at period 265$") as info:
+            forecast(series, fit_quadratic(series), profile(series), variant=variant)
+        assert info.value.period == 265
+        assert len(calls) == curves
+
+    def test_a_raised_divergence_leaves_no_reference_cycle(self):
+        # A cycle through the raising frame would keep its arrays alive until a GC pass.
+        series = generate_mono_peak(MonoPeakSpec(n=360, peak_time=6, seed=0))
+        coeffs, tail = fit_quadratic(series), profile(series)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                forecast(series, coeffs, tail)
+            except DivergenceError:
+                pass
+            else:
+                pytest.fail("forecast did not diverge")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
     @pytest.mark.parametrize("clamp", [False, True])
