@@ -204,11 +204,13 @@ def derive_bass_parameters(coeffs: QuadraticCoefficients) -> BassParameters:
         raise NonDiffusionShapeError(
             f"intercept must be positive for a diffusion curve, got a={a}"
         )
+    # Where b*b or 4ac overflows (c < 0 < a here), hypot reaches sqrt(b*b - 4ac) without them.
+    root = (math.sqrt(disc) if disc < math.inf
+            else math.hypot(b, 2.0 * math.sqrt(a) * math.sqrt(-c)))
     # The two forms of the positive root are equal; each adds terms of one sign, so
     # neither cancels to 0 when 4ac is small beside b*b.
-    root = math.sqrt(disc)
     m = (-b - root) / (2.0 * c) if b >= 0.0 else 2.0 * a / (root - b)
-    # An overflowing b*b or 4ac makes disc, and with it m, inf or 0.
+    # A root past float64 makes m inf, or 0 through 2a / inf.
     if 0.0 < m < math.inf:
         params = BassParameters(p=a / m, q=-c * m, m=m)
         if math.isfinite(params.p) and math.isfinite(params.q):

@@ -279,10 +279,17 @@ class TestDeriveBassParameters:
         assert params.m == pytest.approx(1.0, rel=1e-12)
         assert params.p == pytest.approx(0.5, rel=1e-12)
 
-    def test_overflowing_discriminant_rejected(self):
+    def test_overflowing_discriminant_still_gives_the_root(self):
+        # b*b overflows, but m = 1e200, p = 1e-200 and q = 1e200 are representable.
+        params = derive_bass_parameters(
+            QuadraticCoefficients(a=1.0, b=1e200, c=-1.0, residual_sse=0.0, n_obs=0))
+        assert (params.p, params.q, params.m) == (1e-200, 1e200, 1e200)
+
+    def test_market_size_past_float64_rejected(self):
+        # b*b overflows, and the root m, about b / -c = 1e600, does too.
         with pytest.raises(NoRealMarketSizeError, match="overflow float64"):
             derive_bass_parameters(
-                QuadraticCoefficients(a=1.0, b=1e200, c=-1.0, residual_sse=0.0, n_obs=0))
+                QuadraticCoefficients(a=1.0, b=1e300, c=-1e-300, residual_sse=0.0, n_obs=0))
 
     # The fits of two CSVs: b < 0 with 4ac far below b*b, and b*b past float64.
     @example(0.5, -0.5000000000000001, -1.4e-159)
