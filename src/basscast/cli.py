@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .errors import BasscastError, NonDiffusionShapeError, NoRealMarketSizeError
 from .evaluation import EvaluationReport, compare_models, improvement_percent
-from .fitting import derive_bass_parameters, fit_quadratic
+from .fitting import QuadraticCoefficients, derive_bass_parameters, fit_quadratic
 from .forecast import _MODES, ModelVariant, forecast
 from .ingest import (
     LESS_THAN_ONE_POLICIES,
@@ -42,7 +42,7 @@ from .ingest import (
 from .series import DEFAULT_START_PERIOD, TimeSeries, extend_period_labels
 from .svgplot import _check_points, render_comparison_svg
 from .synthetic import MonoPeakSpec, generate_mono_peak
-from .tail import profile
+from .tail import TailProfile, profile
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -92,10 +92,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fitted(series: TimeSeries) -> tuple[QuadraticCoefficients, TailProfile]:
+    """The coefficients and tail profile that forecast and compare_models take after the series."""
+    return fit_quadratic(series), profile(series)
+
+
 def cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
-    coeffs = fit_quadratic(series)
-    tail = profile(series)
+    coeffs, tail = _fitted(series)
     # The labels can fail (past 9999-12 or +9999), so they come before the horizon is generated.
     labels = list(series.periods) + extend_period_labels(series.periods, args.horizon)
     result = forecast(series, coeffs, tail, mode=args.mode, variant=args.variant,
@@ -116,35 +120,29 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compare(
-    series: TimeSeries, args: argparse.Namespace, modes: tuple[str, ...]
-) -> dict[str, EvaluationReport]:
+def _compare(series: TimeSeries, args: argparse.Namespace,
+             modes: tuple[str, ...]) -> list[EvaluationReport]:
     """Fit and profile the series once, then compare the models in each mode."""
-    coeffs = fit_quadratic(series)
-    tail = profile(series)
-    return {
-        mode: compare_models(series, coeffs, tail, mode=mode, variant=args.variant,
-                             clamp_nonnegative=args.clamp_nonnegative)
-        for mode in modes
-    }
+    coeffs, tail = _fitted(series)
+    return [compare_models(series, coeffs, tail, mode=mode, variant=args.variant,
+                           clamp_nonnegative=args.clamp_nonnegative) for mode in modes]
 
 
-def _evaluation_files(series: TimeSeries, reports: dict[str, EvaluationReport]) -> dict[str, str]:
-    """report.json (one object per mode when there are two) and predictions.csv.
+def _evaluation_files(*reports: EvaluationReport) -> dict[str, str]:
+    """report.json (one object per mode when there are two) and predictions.csv, from the reports.
 
     With one mode, the report's improvement line is printed here, before any file is written.
     """
+    report = reports[-1]  # whose curves predictions.csv holds: simulated's, with --mode both
     if len(reports) > 1:
-        payload = {mode: r.to_dict() for mode, r in reports.items()}
-        report = reports["simulated"]
+        payload = {r.mode: r.to_dict() for r in reports}
     else:
-        (report,) = reports.values()
         payload = report.to_dict()
         print(f"improvement_percent {report.improvement_percent!r} "
               f"(variant {report.variant_used.value})")
     return {"report.json": _json(payload), "predictions.csv": csv_text(
-        ("period", "actual", "classical", "modified"), series.periods,
-        series.demands, report.classical_predicted, report.modified_predicted)}
+        ("period", "actual", "classical", "modified"), report.series.periods,
+        report.series.demands, report.classical_predicted, report.modified_predicted)}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -154,15 +152,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_OK
     series = load_series(args.input, args)
     modes = _MODES if args.mode == "both" else (args.mode,)
-    _write(args.output_dir, _evaluation_files(series, _compare(series, args, modes)))
+    _write(args.output_dir, _evaluation_files(*_compare(series, args, modes)))
     return EXIT_OK
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     _check_points(series)  # before the fit, whose length rule would exit 3
-    report = _compare(series, args, (args.mode,))[args.mode]
-    _write(args.output_dir, {"compare.svg": render_comparison_svg(series, report)})
+    (report,) = _compare(series, args, (args.mode,))
+    _write(args.output_dir, {"compare.svg": render_comparison_svg(report.series, report)})
     return EXIT_OK
 
 
@@ -180,10 +178,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[int, str]:
     """evaluate and plot as one pass (one parse, fit, profile, comparison): (code, status)."""
     try:
-        series = load_series(path, args)
-        report = _compare(series, args, (args.mode,))[args.mode]
-        _write(out_dir, {**_evaluation_files(series, {args.mode: report}),
-                         "compare.svg": render_comparison_svg(series, report)})
+        (report,) = _compare(load_series(path, args), args, (args.mode,))
+        _write(out_dir, {**_evaluation_files(report),
+                         "compare.svg": render_comparison_svg(report.series, report)})
     except (BasscastError, OSError) as exc:
         return _exit_code_for(exc), f"failed: {exc}"
     return EXIT_OK, "ok"

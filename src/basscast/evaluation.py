@@ -8,48 +8,57 @@ warning.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInputError, ShapeError, UndefinedBaselineError, ValidationError
 from .fitting import QuadraticCoefficients, _sse
-from .forecast import ModelVariant, forecast
+from .forecast import ForecastResult, ModelVariant, forecast
 from .series import TimeSeries
 from .tail import TailProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Per-variant SSE, the selected variant, and the improvement over classical.
+    """One input's comparison in one mode, with the series, fit, tail profile and forecast it read.
 
-    rmse/mae/mape describe the selected variant's predictions; mape skips
-    zero-demand periods (mape_skipped counts them) and is None when every
-    period is zero or the percentage overflows float64. classical_predicted
-    and modified_predicted are the two compared curves over the observed
-    range; to_dict() leaves them out.
+    sse_classical, sse_modified, variant_used, classical_predicted and
+    modified_predicted (the two compared curves over the observed range) are
+    reads of ``result``. rmse/mae/mape describe the selected variant's
+    predictions; mape skips zero-demand periods (mape_skipped counts them)
+    and is None when every period is zero or the percentage overflows
+    float64. Two reports are equal when their to_dict() payloads are.
     """
 
-    sse_classical: float
-    sse_modified: float
-    variant_used: ModelVariant
-    improvement_percent: float
-    mode: str
+    series: TimeSeries = field(repr=False)
+    coefficients: QuadraticCoefficients
     tail_profile: TailProfile
+    result: ForecastResult = field(repr=False)
+    mode: str
+    improvement_percent: float
     rmse: float
     mae: float
     mape: float | None
     mape_skipped: int
-    classical_predicted: np.ndarray = field(repr=False, compare=False)
-    modified_predicted: np.ndarray = field(repr=False, compare=False)
+
+    variant_used = property(lambda self: self.result.variant_used)
+    sse_classical = property(lambda self: self.result.candidates[ModelVariant.CLASSICAL].sse)
+    sse_modified = property(lambda self: self.result.candidates[self.variant_used].sse)
+    classical_predicted = property(
+        lambda self: self.result.candidates[ModelVariant.CLASSICAL].curve)
+    modified_predicted = property(lambda self: self.result.predicted)
 
     def to_dict(self) -> dict:
-        # The curves are the fields that take no part in comparison.
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        payload["variant_used"] = self.variant_used.value
-        payload["tail_profile"] = asdict(self.tail_profile)
-        return payload
+        return {"sse_classical": self.sse_classical, "sse_modified": self.sse_modified,
+                "variant_used": self.variant_used.value,
+                "improvement_percent": self.improvement_percent, "mode": self.mode,
+                "tail_profile": asdict(self.tail_profile), "rmse": self.rmse, "mae": self.mae,
+                "mape": self.mape, "mape_skipped": self.mape_skipped}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EvaluationReport) and self.to_dict() == other.to_dict()
 
 
 def _aligned(
@@ -160,20 +169,14 @@ def compare_models(
     result = forecast(series, coeffs, tail, mode=mode, variant=variant,
                       clamp_nonnegative=clamp_nonnegative)
     # forecast's candidate records already hold each curve's SSE.
-    baseline = result.candidates[ModelVariant.CLASSICAL]
-    sse_classical, sse_modified = baseline.sse, result.candidates[result.variant_used].sse
+    chosen = result.candidates[result.variant_used]
     mape_value, mape_skipped = mape(series, result.predicted)
     return EvaluationReport(
-        sse_classical=sse_classical,
-        sse_modified=sse_modified,
-        variant_used=result.variant_used,
-        improvement_percent=improvement_percent(sse_classical, sse_modified),
-        mode=mode,
-        tail_profile=tail,
-        rmse=math.sqrt(sse_modified / len(series)),
+        series, coeffs, tail, result, mode,
+        improvement_percent=improvement_percent(result.candidates[ModelVariant.CLASSICAL].sse,
+                                                chosen.sse),
+        rmse=math.sqrt(chosen.sse / len(series)),
         mae=mae(series, result.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
-        classical_predicted=baseline.curve,
-        modified_predicted=result.predicted,
     )

@@ -20,6 +20,7 @@ from basscast import (
     EmptyInputError,
     EvaluationReport,
     FormatError,
+    ForecastResult,
     ModelVariant,
     TimeSeries,
     ValidationError,
@@ -31,6 +32,7 @@ from basscast import (
     rmse,
     sse,
 )
+from basscast.forecast import Candidate
 
 
 def compensated_sum(values) -> float:
@@ -218,19 +220,23 @@ def two_call_compare_models(
     # as in compare_models, where the two-call version reported 0.0.
     improvement = improvement_percent(sse_classical, sse_modified)
     mape_value, mape_skipped = mape(series, modified.predicted)
+    # A report reads its SSEs, variant and curves from one result, so the two calls' numbers
+    # go into one; the report reads only each record's curve and SSE.
+    result = ForecastResult(modified.predicted, modified.variant_used, {
+        ModelVariant.CLASSICAL: Candidate(classical.predicted, sse_classical, 0.0, math.nan),
+        modified.variant_used: Candidate(modified.predicted, sse_modified, 0.0, math.nan),
+    })
     return EvaluationReport(
-        sse_classical=sse_classical,
-        sse_modified=sse_modified,
-        variant_used=modified.variant_used,
+        series,
+        coeffs,
+        tail,
+        result,
+        mode,
         improvement_percent=improvement,
-        mode=mode,
-        tail_profile=tail,
         rmse=rmse(series, modified.predicted),
         mae=mae(series, modified.predicted),
         mape=mape_value,
         mape_skipped=mape_skipped,
-        classical_predicted=classical.predicted,
-        modified_predicted=modified.predicted,
     )
 
 

@@ -1,6 +1,8 @@
 """The example scripts and the basscast entry point run end to end against this checkout."""
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,28 @@ def test_readme_library_use_block_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    """Each line of the README's ``Command line`` block exits 0 and writes the files it names.
+
+    A line's comment names its files (``a/`` a directory) under its ``--output-dir``, or
+    under the working directory. a.csv and b.csv, which batch reads, are copies of fixture.csv.
+    """
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    lines = re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines()
+    assert len(lines) == 7
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "basscast", line
+        if argv[0] == "batch":
+            for name in ("a.csv", "b.csv"):
+                shutil.copyfile(tmp_path / "fixture.csv", tmp_path / name)
+        result = subprocess.run([sys.executable, "-m", "basscast.cli", *argv], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (line, result.stderr)
+        out = tmp_path / (argv[argv.index("--output-dir") + 1] if "--output-dir" in argv else "")
+        for name in re.findall(r"[\w.]+(?:\.(?:csv|json|svg)|/)", comment):
+            assert (out / name).exists(), (line, name)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from basscast import (
     DegeneratePlotError,
+    ModelVariant,
     ShapeError,
     TimeSeries,
     compare_models,
@@ -98,9 +99,14 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves, shared):
     series = TimeSeries(monthly_periods(len(actual)), actual)
     small = TimeSeries(monthly_periods(6), [1, 5, 9, 4, 2, 1])
     classical = np.array(classical)
-    report = dataclasses.replace(compare_models(small, fit_quadratic(small), profile(small)),
-                                 classical_predicted=classical,
-                                 modified_predicted=classical if shared else np.array(modified))
+    report = compare_models(small, fit_quadratic(small), profile(small))
+    # The report reads classical_predicted from classical's record and modified_predicted
+    # from the result's predicted curve.
+    records = {**report.result.candidates, ModelVariant.CLASSICAL: dataclasses.replace(
+        report.result.candidates[ModelVariant.CLASSICAL], curve=classical)}
+    result = dataclasses.replace(report.result, candidates=records,
+                                 predicted=classical if shared else np.array(modified))
+    report = dataclasses.replace(report, result=result)
     assert render_comparison_svg(series, report) == numpy_scalar_comparison_svg(series, report)
 
 
