@@ -51,7 +51,7 @@ def main() -> int:
         if args.svg_dir:
             out = Path(args.svg_dir)
             out.mkdir(parents=True, exist_ok=True)
-            svg = render_comparison_svg(series, report)
+            svg = render_comparison_svg(report)
             (out / f"seed_{seed:03d}.svg").write_text(svg, encoding="utf-8")
 
     print(f"\nstrict wins: {wins}/{args.seeds}")

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .evaluation import EvaluationReport, compare_models, improvement_percent, mae, mape, rmse, sse
 from .fitting import BassParameters, QuadraticCoefficients, derive_bass_parameters, fit_quadratic
-from .forecast import DIVERGENCE_GUARD, ForecastResult, ModelVariant, forecast
+from .forecast import ForecastResult, ModelVariant, forecast
 from .ingest import (
     parse_generic_csv,
     parse_google_trends_csv,
@@ -40,7 +40,6 @@ from .tail import TailProfile, compute_ratios, profile
 __all__ = [
     "BassParameters",
     "BasscastError",
-    "DIVERGENCE_GUARD",
     "DegeneratePlotError",
     "DivergenceError",
     "EmptyInputError",

@@ -160,7 +160,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     series = load_series(args.input, args)
     _check_points(series)  # before the fit, whose length rule would exit 3
     (report,) = _compare(series, args, (args.mode,))
-    _write(args.output_dir, {"compare.svg": render_comparison_svg(report.series, report)})
+    _write(args.output_dir, {"compare.svg": render_comparison_svg(report)})
     return EXIT_OK
 
 
@@ -180,7 +180,7 @@ def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[int,
     try:
         (report,) = _compare(load_series(path, args), args, (args.mode,))
         _write(out_dir, {**_evaluation_files(report),
-                         "compare.svg": render_comparison_svg(report.series, report)})
+                         "compare.svg": render_comparison_svg(report)})
     except (BasscastError, OSError) as exc:
         return _exit_code_for(exc), f"failed: {exc}"
     return EXIT_OK, "ok"

@@ -67,7 +67,7 @@ class NoRealMarketSizeError(NumericError):
 
 
 class DivergenceError(NumericError):
-    """Simulated cumulative demand blew past the overflow guard."""
+    """A predicted curve, its running total or its SSE left float64, first at ``period``."""
 
     def __init__(self, message: str, period: int | None = None):
         self.period = period

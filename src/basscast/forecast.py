@@ -30,9 +30,6 @@ from .fitting import QuadraticCoefficients, _one_step, _sse
 from .series import TimeSeries, cumulative, mean_demand
 from .tail import TailProfile
 
-# Simulated cumulative demand beyond this magnitude is treated as divergence.
-DIVERGENCE_GUARD = 1e15
-
 
 class ModelVariant(str, Enum):
     CLASSICAL = "classical"
@@ -55,12 +52,12 @@ _MODES = ("one_step", "simulated")
 class Candidate:
     """One variant's read-only in-sample curve, with what selection and the horizon need of it.
 
-    ``sse`` is the curve's in-sample SSE, ``inf`` where the squared residuals
-    overflow float64. ``running`` is the cumulative demand the curve ends on:
-    the kernel's own running total in simulated mode, the observed total in
-    one-step mode. The horizon continues from it with ``correction``. A curve
-    that diverged records its DivergenceError in ``divergence``, and has no
-    curve, an SSE of ``inf`` and a ``running`` of NaN.
+    ``sse`` is the curve's in-sample SSE. ``running`` is the cumulative demand
+    the curve ends on: the kernel's own running total in simulated mode, the
+    observed total in one-step mode. The horizon continues from it with
+    ``correction``. A curve that diverged (see _candidate) records its
+    DivergenceError in ``divergence``, and has no curve, an SSE of ``inf`` and
+    a ``running`` of NaN.
     """
 
     curve: np.ndarray | None = field(repr=False)
@@ -104,11 +101,12 @@ def simulate(
     the output bit-identical to its array form ``fitting._one_step``; Horner's
     rearrangement changes the last digits. Returns the values and D after the
     last of them, so a later call started from that D continues the same curve.
-    Raises DivergenceError naming the first period whose value is not finite
-    or whose running total passes DIVERGENCE_GUARD.
+    Raises DivergenceError naming the first period whose value or running
+    total is not finite.
     """
     out = []
     append = out.append
+    inf = math.inf
     for t in periods:
         value = a + b * running + c * running * running + correction
         if clamp and value < 0.0:
@@ -116,19 +114,14 @@ def simulate(
         append(value)
         running += value
         # A non-finite value makes the running total non-finite too, so this
-        # one comparison also catches overflow; NaN fails every comparison.
-        if not abs(running) <= DIVERGENCE_GUARD:
-            raise _divergence(value, t)
+        # one comparison checks both; NaN fails every comparison.
+        if not abs(running) < inf:
+            raise _divergence(t)
     return out, running
 
 
-def _divergence(value: float, period: int) -> DivergenceError:
-    if not math.isfinite(value):
-        return DivergenceError(f"prediction overflowed at period {period}", period=period)
-    return DivergenceError(
-        f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} at period {period}",
-        period=period,
-    )
+def _divergence(period: int) -> DivergenceError:
+    return DivergenceError(f"prediction overflowed at period {period}", period=period)
 
 
 def _candidate(
@@ -141,26 +134,33 @@ def _candidate(
     """One variant's record, its curve generated over the observed range only.
 
     ``lagged`` is the series' lagged cumulative demand in one-step mode and
-    None in simulated mode. A divergence is recorded, not raised.
+    None in simulated mode. A curve diverged where simulate stopped it, or,
+    whatever the demands' scale, where its SSE is not finite: at the first
+    period whose left-to-right running sum of squared residuals is not
+    finite, else at the last. That clause also catches a one-step value that
+    is not finite. A divergence is recorded, not raised.
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    try:
-        if lagged is not None:
-            curve = _one_step(a, b, c, correction, lagged)
-            if clamp:
-                curve = np.where(curve < 0.0, 0.0, curve)
-            finite = np.isfinite(curve)
-            if not finite.all():
-                first = int(finite.argmin())
-                raise _divergence(float(curve[first]), first + 1)
-            running = float(lagged[-1]) + float(series.demands[-1])
-        else:
+    if lagged is not None:
+        curve = _one_step(a, b, c, correction, lagged)
+        if clamp:
+            curve = np.where(curve < 0.0, 0.0, curve)
+        running = float(lagged[-1]) + float(series.demands[-1])
+    else:
+        try:
             values, running = simulate(a, b, c, correction, clamp, 0.0, range(1, len(series) + 1))
-            curve = np.array(values)
-    except DivergenceError as exc:
-        return Candidate(None, math.inf, correction, math.nan, exc)
+        except DivergenceError as exc:
+            return Candidate(None, math.inf, correction, math.nan, exc)
+        curve = np.array(values)
+    sse = _sse(series.demands, curve)
+    if not math.isfinite(sse):
+        with np.errstate(over="ignore"):
+            totals = np.cumsum(np.square(series.demands - curve))
+        # Squares are not negative, so the totals stay non-finite from the first that is.
+        period = min(int(np.isfinite(totals).sum()) + 1, len(series))
+        return Candidate(None, math.inf, correction, math.nan, _divergence(period))
     curve.flags.writeable = False
-    return Candidate(curve, _sse(series.demands, curve), correction, running)
+    return Candidate(curve, sse, correction, running)
 
 
 def forecast(

@@ -154,7 +154,7 @@ def _split_series(text: str, date_column: str | int, value_column: str | int) ->
     This is the whole-file path of parse_generic_csv. It takes only a text
     where str.split cuts the cells csv.reader would: no '"', no NUL (which
     csv.reader rejects before Python 3.11), every CR part of a CRLF, a first
-    line that is the header (not blank), every line holding as many commas as
+    line that is the header (not blank), every line holding as many cells as
     the header, and no line longer than csv.field_size_limit(). It returns
     None for any other text, and for one whose cells do not convert or whose
     series does not validate; the row loop then reads the text and names the
@@ -168,22 +168,23 @@ def _split_series(text: str, date_column: str | int, value_column: str | int) ->
         if "\r" in text:
             return None
     text = text.rstrip("\n")  # blank lines at the end, which the row loop skips too
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    if len(lines) < 2 or not "".join(header).strip():
+    end = text.find("\n")
+    header = text[:end].split(",")
+    if end < 0 or not "".join(header).strip():
         return None
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    commas = len(header) - 1
-    if set(map(str.count, lines, itertools.repeat(","))) != {commas}:
+    if len(text) > limit and max(map(len, text.split("\n"))) > limit:
         return None
     # Line 1 is also the row loop's first row, with the same cells, so the error is the loop's.
     date_idx = _resolve_column(date_column, header, 1)
     value_idx = _resolve_column(value_column, header, 1)
-    del lines  # freed before the cells are built, to lower a large file's peak memory
-    cells = text.replace("\n", ",").split(",")
-    step = commas + 1
+    # Each cell holds at most one "\n", at its start. So every line has the header's cell count
+    # exactly when the cells number that count per line and every step-th one starts a line.
+    lines = text.count("\n") + 1
+    cells = text.replace("\n", ",\n").split(",")
+    step = len(header)
+    if len(cells) != step * lines or "".join(cells[step::step]).count("\n") != lines - 1:
+        return None
     try:
         # TimeSeries checks in C-level passes that the values are finite and the labels ascend.
         return TimeSeries(map(str.strip, cells[step + date_idx::step]),

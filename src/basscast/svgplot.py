@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 
-from .errors import DegeneratePlotError, ShapeError
+from .errors import DegeneratePlotError
 from .evaluation import EvaluationReport
 from .series import TimeSeries
 
@@ -57,8 +57,8 @@ def _check_points(series: TimeSeries) -> None:
                                   "to draw comparison curves - provide more data")
 
 
-def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
-    """Render the actual curve and the report's two predictions into a 960x540 SVG document.
+def render_comparison_svg(report: EvaluationReport) -> str:
+    """Render the report's series and its two predictions into a 960x540 SVG document.
 
     The actual, classical and modified curves are drawn as polylines (solid,
     dashed, dash-dot) over the observed range with linear min-max scaling, a
@@ -66,16 +66,13 @@ def render_comparison_svg(series: TimeSeries, report: EvaluationReport) -> str:
     One pass over the three curves draws each polyline with its legend entry;
     a curve passed twice as the same array (modified is classical when
     classical wins) is scaled and formatted once, and both polylines share it.
-    Raises ShapeError when the report's curves are not as long as the series.
     """
+    series = report.series
     _check_points(series)
     n = len(series)
     actual = series.demands
     classical = report.classical_predicted
     modified = report.modified_predicted
-    if not len(classical) == len(modified) == n:
-        raise ShapeError(f"series has length {n}, the report's curves have lengths "
-                         f"{len(classical)} and {len(modified)}")
 
     x0, x1 = float(_MARGIN_LEFT), float(VIEW_WIDTH - _MARGIN_RIGHT)
     y0, y1 = float(VIEW_HEIGHT - _MARGIN_BOTTOM), float(_MARGIN_TOP)

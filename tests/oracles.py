@@ -15,7 +15,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from basscast import (
-    DIVERGENCE_GUARD,
     DivergenceError,
     EmptyInputError,
     EvaluationReport,
@@ -136,52 +135,54 @@ def sse_fsum(actual, predicted) -> float:
 
 
 def per_step_generate(series, coeffs, correction, mode, horizon, clamp) -> np.ndarray:
-    """The original per-step forecast recursion, kept verbatim as the reference.
+    """The original per-step forecast recursion, kept as the reference for forecast's.
 
-    Every step goes through numpy scalars and np.isfinite, and the loop and
-    the divergence guard are written out once per mode.
+    Every step goes through numpy scalars and np.isfinite. A curve diverges at
+    the first period whose running total is not finite, or, over the observed
+    range, at the first period whose left-to-right running sum of squared
+    residuals is not finite (at n if only the pairwise total of those squares
+    is not).
     """
     n = len(series)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     out = np.empty(n + horizon)
 
-    def step(D: float, t: int) -> float:
+    def step(D: float) -> float:
         value = a + b * D + c * D * D + correction
         if clamp and value < 0.0:
             value = 0.0
-        if not np.isfinite(value):
-            raise DivergenceError(f"prediction overflowed at period {t}", period=t)
         return value
+
+    def diverged(t: int) -> DivergenceError:
+        return DivergenceError(f"prediction overflowed at period {t}", period=t)
+
+    def generate(running: float, periods: range) -> float:
+        for t in periods:
+            value = step(running)
+            out[t - 1] = value
+            running += value
+            if not np.isfinite(running):
+                raise diverged(t)
+        return running
 
     if mode == "one_step":
         lagged = cumulative(series)
         for t in range(n):
-            out[t] = step(float(lagged[t]), t + 1)
-        # Beyond the data the recursion has to feed on its own output.
+            out[t] = step(float(lagged[t]))
         running = float(lagged[-1]) + float(series.demands[-1])
-        for h in range(horizon):
-            t = n + h + 1
-            value = step(running, t)
-            out[n + h] = value
-            running += value
-            if abs(running) > DIVERGENCE_GUARD:
-                raise DivergenceError(
-                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
-                    f"at period {t}",
-                    period=t,
-                )
     else:
-        running = 0.0
-        for t in range(1, n + horizon + 1):
-            value = step(running, t)
-            out[t - 1] = value
-            running += value
-            if abs(running) > DIVERGENCE_GUARD:
-                raise DivergenceError(
-                    f"simulated cumulative demand exceeded {DIVERGENCE_GUARD:g} "
-                    f"at period {t}",
-                    period=t,
-                )
+        running = generate(0.0, range(1, n + 1))
+    squares = [(float(d) - float(p)) * (float(d) - float(p))
+               for d, p in zip(series.demands, out[:n])]
+    total = 0.0
+    for t, square in enumerate(squares, 1):
+        total += square
+        if not np.isfinite(total):
+            raise diverged(t)
+    if not np.isfinite(np.add.reduce(np.array(squares))):
+        raise diverged(n)
+    # Beyond the data the recursion has to feed on its own output.
+    generate(running, range(n + 1, n + horizon + 1))
     return out
 
 

@@ -9,6 +9,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from basscast import (
     generate_mono_peak,
     ingest,
     monthly_periods,
+    parse_generic_csv,
     render_comparison_svg,
     svgplot,
     synthetic,
@@ -544,7 +546,7 @@ class TestPlotCommand:
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("period,demand\n2020-01,5\n", encoding="utf-8")
         with pytest.raises(DegeneratePlotError) as err:
-            render_comparison_svg(TimeSeries(["2020-01"], [5.0]), None)
+            render_comparison_svg(SimpleNamespace(series=TimeSeries(["2020-01"], [5.0])))
         assert main(["plot", str(csv_path), "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
@@ -836,9 +838,9 @@ class TestOneCumulativePass:
         assert len(calls) == inputs
 
 
-# Classical diverges at period 80 on this series, modified_subtract earlier (at 51) and
+# Classical diverges at period 85 on this series, modified_subtract earlier (at 56) and
 # modified_add not at all.
-CLASSICAL_DIVERGES_AT_80 = [
+CLASSICAL_DIVERGES_AT_85 = [
     "--n", "228", "--peak-time", "71", "--decay-rate", "0.8336556553409036",
     "--plateau-level", "0.21595006687258333", "--rise-shape", "4.803930614626084",
     "--noise-amplitude", "7.249968155630864", "--seed", "2243",
@@ -853,12 +855,12 @@ class TestOneCandidateSet:
     def test_every_command_fails_on_classicals_divergence(self, tmp_path, capsys, command,
                                                           variant):
         path = str(tmp_path / "s.csv")
-        assert main(["synth", *CLASSICAL_DIVERGES_AT_80, "--output", path]) == 0
+        assert main(["synth", *CLASSICAL_DIVERGES_AT_85, "--output", path]) == 0
         capsys.readouterr()
         assert main([command, path, "--variant", variant,
                      "--output-dir", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
-        message = "simulated cumulative demand exceeded 1e+15 at period 80"
+        message = "prediction overflowed at period 85"
         if command == "batch":
             assert captured.out == f"{path}: failed: {message}\n"
         else:
@@ -878,6 +880,28 @@ class TestOneCandidateSet:
         assert main(["evaluate", path, "--variant", variant, "--mode", "one_step",
                      "--output-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
+
+
+class TestScaleFreeDivergence:
+    """Only float64's range limits the demands: large totals are not a divergence."""
+
+    def test_synth_default_times_2_to_the_40(self, tmp_path, capsys):
+        # Its simulated cumulative demand reaches 2.5e15, and every curve stays far from overflow.
+        path, big = tmp_path / "s.csv", tmp_path / "big.csv"
+        assert main(["synth", "--output", str(path)]) == 0
+        series = parse_generic_csv(path.read_text(encoding="utf-8"))
+        big.write_text(to_generic_csv(TimeSeries(series.periods, series.demands * 2.0**40,
+                                                 unit=series.unit)), encoding="utf-8")
+        for name in ("s", "big"):
+            assert main(["evaluate", str(tmp_path / f"{name}.csv"),
+                         "--output-dir", str(tmp_path / name)]) == 0
+        small_report, big_report = (json.loads((tmp_path / name / "report.json").read_text())
+                                    for name in ("s", "big"))
+        assert (big_report["variant_used"], big_report["improvement_percent"]) == (
+            small_report["variant_used"], small_report["improvement_percent"])
+        assert main(["forecast", str(big), "--variant", "classical", "--horizon", "3",
+                     "--output-dir", str(tmp_path / "forecast")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSharedCurveFormattedOnce:

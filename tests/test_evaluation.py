@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from basscast import (
     improvement_percent,
     mae,
     mape,
+    mean_demand,
     monthly_periods,
     profile,
     rmse,
@@ -230,11 +233,11 @@ class TestCompareModels:
         assert report.sse_modified > report.sse_classical
 
     @pytest.mark.parametrize("variant", [ModelVariant.AUTO, ModelVariant.MODIFIED_ADD])
-    def test_overflowing_sse_raises_undefined_baseline(self, variant):
-        # Every curve is finite, but squaring its ~1e200 residuals overflows to an inf SSE.
+    def test_overflowing_sse_is_a_divergence(self, variant):
+        # Every curve is finite, but squaring its first ~1e200 residual overflows.
         series = make([10, 80, 400, 2000])
         coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
-        with pytest.raises(UndefinedBaselineError, match="baseline SSE inf"):
+        with pytest.raises(DivergenceError, match="^prediction overflowed at period 1$"):
             compare_models(series, coeffs, profile(series), mode="one_step", variant=variant)
 
     def test_settings_are_keyword_only(self, mono_peak_series):
@@ -431,7 +434,7 @@ class TestOneImprovementRule:
                                     clamp_nonnegative=clamp, variant=variant)
 
     # The exact series gives a zero classical SSE, which a forced correction cannot match;
-    # random specs do not reach one. test_overflowing_sse_raises_undefined_baseline covers inf.
+    # random specs do not reach one. A candidate whose SSE overflows diverged, so none is inf.
     @pytest.mark.parametrize("mode", ["one_step", "simulated"])
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("variant", list(ModelVariant))
@@ -456,3 +459,54 @@ class TestOneImprovementRule:
         assert (report.sse_classical, report.sse_modified) == (0.0, 0.0)
         assert report.improvement_percent == 0.0
         assert report.variant_used is ModelVariant.CLASSICAL
+
+
+class TestScaleFree:
+    """Counting demand in another unit changes no answer, only the numbers that carry the unit.
+
+    Scaling the demands by 2**k is exact in float64, and so is every step that follows: the
+    fit, the tail rule, the recursion, the SSEs and the metrics. So the one limit left is
+    float64's own range, which curves and totals within 2**400 keep clear of for |k| <= 60.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    # From k = 39 the default spec's simulated total passes 1e15, where an absolute guard trips.
+    @example(spec=MonoPeakSpec(), k=39, mode="simulated", clamp=False, variant=ModelVariant.AUTO)
+    @example(spec=MonoPeakSpec(), k=40, mode="simulated", clamp=False,
+             variant=ModelVariant.CLASSICAL)
+    @given(
+        spec=mono_peak_specs(),
+        k=st.integers(min_value=-60, max_value=60),
+        mode=st.sampled_from(["one_step", "simulated"]),
+        clamp=st.booleans(),
+        variant=st.sampled_from(list(ModelVariant)),
+    )
+    def test_power_of_two_rescale_is_exact(self, spec, k, mode, clamp, variant):
+        series = generate_mono_peak(spec)
+        kwargs = {"mode": mode, "clamp_nonnegative": clamp, "variant": variant}
+        try:
+            coeffs = fit_quadratic(series)
+            base = compare_models(series, coeffs, profile(series), **kwargs)
+        except (SingularFitError, DivergenceError, UndefinedBaselineError):
+            assume(False)
+        largest = max(float(np.abs(r.curve).max()) for r in base.result.candidates.values())
+        assume(max(largest, abs(mean_demand(series)) * len(series)) <= 2.0**400)
+        scale = 2.0**k
+        scaled_series = TimeSeries(series.periods, series.demands * scale, unit=series.unit)
+        scaled_coeffs = fit_quadratic(scaled_series)
+        scaled = compare_models(scaled_series, scaled_coeffs, profile(scaled_series), **kwargs)
+
+        assert (scaled_coeffs.a, scaled_coeffs.b, scaled_coeffs.c, scaled_coeffs.residual_sse) == (
+            coeffs.a * scale, coeffs.b, coeffs.c / scale, coeffs.residual_sse * scale * scale)
+        assert scaled.tail_profile == dataclasses.replace(
+            base.tail_profile, peak_value=base.tail_profile.peak_value * scale)
+        assert scaled.variant_used is base.variant_used
+        assert tuple(scaled.result.candidates) == tuple(base.result.candidates)
+        for v, record in base.result.candidates.items():
+            other = scaled.result.candidates[v]
+            assert np.array_equal(other.curve, record.curve * scale)
+            assert (other.sse, other.correction) == (record.sse * scale * scale,
+                                                     record.correction * scale)
+        assert (scaled.improvement_percent, scaled.mape, scaled.mape_skipped) == (
+            base.improvement_percent, base.mape, base.mape_skipped)
+        assert (scaled.rmse, scaled.mae) == (base.rmse * scale, base.mae * scale)

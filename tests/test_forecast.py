@@ -300,17 +300,23 @@ class TestAutoSelection:
         with pytest.raises(TypeError):
             result.candidates[ModelVariant.AUTO] = result.candidates[result.variant_used]
 
-    def test_overflowing_sse_is_inf_and_ties_keep_candidate_order(self):
-        # Every candidate is finite, but squaring its ~1e200 residuals overflows.
+    def test_overflowing_sse_is_a_divergence(self):
+        # Every candidate is finite, but squaring its first ~1e200 residual overflows.
         series = make([10, 80, 400, 2000])
         coeffs = QuadraticCoefficients(a=1e200, b=0.0, c=0.0, residual_sse=0.0, n_obs=4)
-        result = forecast(series, coeffs, profile(series), mode="one_step")
-        assert {v: candidate.sse for v, candidate in result.candidates.items()} == {
-            ModelVariant.CLASSICAL: float("inf"),
-            ModelVariant.MODIFIED_ADD: float("inf"),
-            ModelVariant.MODIFIED_SUBTRACT: float("inf"),
-        }
-        assert result.variant_used is ModelVariant.CLASSICAL
+        with pytest.raises(DivergenceError, match="^prediction overflowed at period 1$") as info:
+            forecast(series, coeffs, profile(series), mode="one_step")
+        assert info.value.period == 1
+
+    @pytest.mark.parametrize("mode", ["one_step", "simulated"])
+    def test_sse_overflowing_only_pairwise_names_the_last_period(self, mode):
+        # The zero curve leaves the demands as residuals. Their squares' left-to-right sum
+        # rounds each small square away and stays finite; the pairwise sum adds two of them
+        # first, and that pair tips the total past float64.
+        series = make([1.3407807929942596e154] + [8.651243356162858e145] * 7)
+        coeffs = QuadraticCoefficients(a=0.0, b=0.0, c=0.0, residual_sse=0.0, n_obs=8)
+        with pytest.raises(DivergenceError, match="^prediction overflowed at period 8$"):
+            forecast(series, coeffs, profile(series), mode=mode)
 
     def test_tie_breaks_to_classical(self, noiseless_series, exact_coeffs):
         # tail_per = 0.5 zeroes r1, so the additive variant ties classical exactly
@@ -412,14 +418,14 @@ class TestKernelMatchesPerStepReference:
     # Under auto, modified_subtract is never generated.
     @pytest.mark.parametrize("variant", [ModelVariant.AUTO, ModelVariant.MODIFIED_ADD])
     def test_generation_stops_at_the_first_diverged_candidate(self, monkeypatch, variant):
-        # Classical stays finite; modified_add alone diverges, at period 265.
+        # Classical stays finite; modified_add alone diverges, at period 270.
         series = generate_mono_peak(MonoPeakSpec(n=360, peak_time=6, seed=0))
         calls = []
         monkeypatch.setattr(forecast_module, "_candidate",
                             lambda *args: calls.append(args) or _candidate(*args))
-        with pytest.raises(DivergenceError, match="at period 265$") as info:
+        with pytest.raises(DivergenceError, match="at period 270$") as info:
             forecast(series, fit_quadratic(series), profile(series), variant=variant)
-        assert info.value.period == 265
+        assert info.value.period == 270
         assert len(calls) == 2
 
     def test_a_raised_divergence_leaves_no_reference_cycle(self):
@@ -443,7 +449,7 @@ class TestKernelMatchesPerStepReference:
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("horizon", [0, 40])
     @pytest.mark.parametrize("a,b,c,correction", [
-        (10.0, 2.0, 0.5, 0.0),             # running total passes the guard
+        (10.0, 2.0, 0.5, 0.0),             # the running total overflows
         (1e308, 0.0, 0.0, 1e308),          # the first value overflows
         (-1e308, 0.0, 0.0, -1e308),        # overflows to -inf, which a clamp floors
         (5.0, 0.0, 1e306, 0.0),            # c*D*D overflows on the observed data

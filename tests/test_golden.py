@@ -79,8 +79,8 @@ def run_main(argv, out):
     return code, stderr.getvalue(), digests
 
 
-# auto's error on n360: its modified_add candidate passes the divergence guard at period 293.
-DIVERGED = "error: simulated cumulative demand exceeded 1e+15 at period 293\n"
+# auto's error on n360: its modified_add candidate diverges at period 297.
+DIVERGED = "error: prediction overflowed at period 297\n"
 
 GOLDEN = {
     ("fit", "n180"): (0, "", {

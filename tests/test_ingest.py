@@ -397,6 +397,16 @@ def test_row_loop_reads_a_written_generic_csv_the_split_path_refuses(monkeypatch
     assert taken == [None]
 
 
+@pytest.mark.parametrize("text", [
+    "p,d\n2020-01,1,9\n2020-02\n",  # one line too wide, one too narrow: the total still fits
+    "p,d\n1,2,3\n4\n",              # the same, with cells that would convert and ascend
+    "p,d\n2020-01,1\n2020-02\n",    # the last line too narrow
+    "p,d\n2020-01\n2020-02,1,9\n",
+])
+def test_split_path_refuses_lines_of_other_widths(text):
+    assert _split_series(text, 0, 1) is None
+
+
 def transactions_log(rows):
     """A transactions CSV of (timestamp, count) rows under a header, which is line 1."""
     return "timestamp,count\n" + "".join(f"{stamp},{count}\n" for stamp, count in rows)

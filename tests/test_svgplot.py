@@ -1,5 +1,6 @@
 import dataclasses
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, strategies as st
 from basscast import (
     DegeneratePlotError,
     ModelVariant,
-    ShapeError,
     TimeSeries,
     compare_models,
     fit_quadratic,
@@ -25,7 +25,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 def render(series):
     report = compare_models(series, fit_quadratic(series), profile(series))
-    return render_comparison_svg(series, report)
+    return render_comparison_svg(report)
 
 
 def test_renders_three_polylines_with_full_point_count(mono_peak_series):
@@ -51,22 +51,11 @@ def test_deterministic_bytes(mono_peak_series):
 
 
 def test_single_point_is_degenerate():
-    series = TimeSeries(["2020-01"], [5.0])
-    report_stub = None
+    # No report can be computed for one point, so a stub holds the series alone.
+    report_stub = SimpleNamespace(series=TimeSeries(["2020-01"], [5.0]))
     with pytest.raises(DegeneratePlotError) as err:
-        render_comparison_svg(series, report_stub)
+        render_comparison_svg(report_stub)
     assert "more data" in str(err.value)
-
-
-def test_report_of_another_length_is_a_shape_error(mono_peak_series):
-    # The report's curves fill the series' template of x coordinates; it raised TypeError.
-    report = compare_models(mono_peak_series, fit_quadratic(mono_peak_series),
-                            profile(mono_peak_series))
-    shorter = TimeSeries(mono_peak_series.periods[:-1], mono_peak_series.demands[:-1])
-    n = len(mono_peak_series)
-    with pytest.raises(ShapeError, match=f"^series has length {n - 1}, the report's curves "
-                                         f"have lengths {n} and {n}$"):
-        render_comparison_svg(shorter, report)
 
 
 def test_flat_series_has_zero_range_but_renders():
@@ -106,8 +95,8 @@ def test_svg_bytes_match_numpy_scalar_formatting(curves, shared):
         report.result.candidates[ModelVariant.CLASSICAL], curve=classical)}
     result = dataclasses.replace(report.result, candidates=records,
                                  predicted=classical if shared else np.array(modified))
-    report = dataclasses.replace(report, result=result)
-    assert render_comparison_svg(series, report) == numpy_scalar_comparison_svg(series, report)
+    report = dataclasses.replace(report, series=series, result=result)
+    assert render_comparison_svg(report) == numpy_scalar_comparison_svg(series, report)
 
 
 # The polylines format each y with "%.3f" %; format(y, ".3f") is the reference.

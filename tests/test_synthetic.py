@@ -220,7 +220,7 @@ class TestGenerateMonoPeak:
 # fixture and the mono-peak shape are test helpers, imported from
 # basscast.synthetic only.
 PUBLIC_NAMES = {
-    "BassParameters", "BasscastError", "DIVERGENCE_GUARD", "DegeneratePlotError",
+    "BassParameters", "BasscastError", "DegeneratePlotError",
     "DivergenceError", "EmptyInputError", "EvaluationReport", "ForecastResult",
     "FormatError", "InsufficientDataError",
     "ModelVariant", "MonoPeakSpec", "NoRealMarketSizeError", "NonDiffusionShapeError",
