@@ -176,7 +176,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _batch_one(args: argparse.Namespace, path: str, out_dir: Path) -> tuple[int, str]:
-    """evaluate and plot as one pass (one parse, fit, profile, comparison): (code, status)."""
+    """evaluate and plot as one pass (one parse, fit, profile, comparison): (code, status).
+
+    The files are byte-identical to those of separate evaluate and plot runs
+    (tests/test_cli.py::TestBatchCommand::test_payloads_match_separate_evaluate_and_plot).
+    """
     try:
         (report,) = _compare(load_series(path, args), args, (args.mode,))
         _write(out_dir, {**_evaluation_files(report),
@@ -254,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's argparse tree, built on the first call and shared by every later one.
 
     Parsing reads the tree and never changes it, so one tree serves every
-    ``main`` call in a process.
+    ``main`` call in a process, and in-process callers (tests, notebooks, the
+    benchmark) pay for it once; a usage error in one call does not affect the
+    next (tests/test_cli.py::TestReusedParser).
     """
     parser = argparse.ArgumentParser(
         prog="basscast",

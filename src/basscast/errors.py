@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by every basscast module."""
+"""Exception hierarchy shared by every basscast module.
+
+Each class carries the command line's exit status as ``exit_code``:
+BasscastError sets 2, and every numeric or fit error derives from
+NumericError, which sets 3. The command line maps an OSError to 4
+(tests/test_cli.py::test_error_class_exit_code and
+tests/test_cli.py::test_exit_code_has_one_owner_per_value).
+"""
 
 
 class BasscastError(Exception):

@@ -1,9 +1,12 @@
 """SSE-based comparison of the classical and mean-corrected forecast variants.
 
-The four metrics take two equal-length, non-empty sequences of finite values;
-a NaN or infinity in either raises ValidationError naming that argument. A
-residual past float64 makes sse, rmse and mae inf and mape None, with no numpy
-warning.
+The four metrics take two one-dimensional sequences of one length, or a
+TimeSeries and a sequence. Empty input raises EmptyInputError and unequal
+lengths raise ShapeError. An argument that is not one-dimensional, or that
+holds a NaN or infinity, raises ValidationError naming it (and the index),
+because no metric of it could be written to report.json. A residual past
+float64 makes sse, rmse and mae inf and mape None, with no numpy warning
+(tests/test_evaluation.py::TestSse).
 """
 from __future__ import annotations
 
@@ -165,6 +168,8 @@ def compare_models(
     also a choice, so the improvement can never be negative; forcing a
     specific modified variant can make it negative when the correction hurts.
     The improvement and its UndefinedBaselineError are improvement_percent's.
+    It makes one forecast call for every variant
+    (tests/test_cli.py::TestOneCandidateSet::test_one_forecast_call_per_comparison).
     """
     result = forecast(series, coeffs, tail, mode=mode, variant=variant,
                       clamp_nonnegative=clamp_nonnegative)

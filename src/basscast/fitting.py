@@ -85,7 +85,10 @@ def _sse(actual: np.ndarray, predicted: np.ndarray) -> float:
 
     Summed by _inner, not math.fsum: pairwise summation is within O(log n) rounding
     errors of the exact sum, its order is as fixed as fsum's result, and it costs a
-    tenth of fsum at n=1500.
+    tenth of fsum at n=1500. Its overflow rule is every metric's: rmse and mae are
+    inf where it is, and mape is None
+    (tests/test_evaluation.py::TestSse::test_shared_input_and_overflow_rule). A
+    forecast candidate whose SSE is inf has diverged (forecast._candidate).
     """
     with np.errstate(over="ignore"):
         resid = actual - predicted
@@ -93,7 +96,13 @@ def _sse(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 
 def _one_step(a: float, b: float, c: float, correction: float, D: np.ndarray) -> np.ndarray:
-    """forecast.simulate's step over an array D, in its operation order; inf or nan unwarned."""
+    """forecast.simulate's step over an array D, in its operation order; inf or nan unwarned.
+
+    It gives the fit's residual and the in-sample one-step curves, so the
+    unclamped one-step classical curve is the fit's residual array and its SSE
+    is residual_sse bit for bit
+    (tests/test_forecast.py::TestOneStepMode::test_classical_sse_is_the_fit_residual_sse).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         return a + b * D + c * D * D + correction
 

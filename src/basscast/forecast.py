@@ -9,6 +9,9 @@ it is the honest end-to-end test of the model shape.
 Each candidate curve is generated once, over the observed range only; the
 chosen one is then extended through the horizon by one more ``simulate``
 call that starts from the cumulative demand its curve ends on, in both modes.
+So ``auto`` generates 3 curves with or without a horizon, and an explicit
+variant 2, classical's and its own
+(tests/test_forecast.py::TestAutoSelection::test_candidates_are_the_curves_generated).
 
 The modified variants add a constant correction to every prediction:
 +r1 * mean demand for the additive variant, -r2 * mean demand for the
@@ -57,7 +60,9 @@ class Candidate:
     observed total in one-step mode. The horizon continues from it with
     ``correction``. A curve that diverged (see _candidate) records its
     DivergenceError in ``divergence``, and has no curve, an SSE of ``inf`` and
-    a ``running`` of NaN.
+    a ``running`` of NaN. Selection, the horizon, forecast.json's
+    ``correction_term`` and compare_models all read these records
+    (tests/test_forecast.py::TestAutoSelection::test_each_record_is_read_only_and_holds_its_curves_sse).
     """
 
     curve: np.ndarray | None = field(repr=False)
@@ -95,14 +100,19 @@ def simulate(
 ) -> tuple[list[float], float]:
     """Demand of each period in ``periods`` under the recursion fed by its own output.
 
-    Each value is ``a + b*D + c*D*D + correction`` at running cumulative demand
+    This is the scalar kernel of every curve that feeds on its own output:
+    simulated candidates, the horizon of both modes and the tests'
+    generate_bass_series (tests/conftest.py). Each value is
+    ``a + b*D + c*D*D + correction`` at running cumulative demand
     D, starting from ``running``, floored at zero when ``clamp`` is set, and
     then added to D. Plain Python floats in this exact expression order keep
     the output bit-identical to its array form ``fitting._one_step``; Horner's
     rearrangement changes the last digits. Returns the values and D after the
     last of them, so a later call started from that D continues the same curve.
     Raises DivergenceError naming the first period whose value or running
-    total is not finite.
+    total is not finite. Both forms give the bits of the per-step numpy loop
+    that tests/oracles.py keeps as the reference, and a continued curve is one
+    run (tests/test_forecast.py::TestKernelMatchesPerStepReference).
     """
     out = []
     append = out.append
@@ -175,9 +185,16 @@ def forecast(
 ) -> ForecastResult:
     """Generate the predicted demand sequence for the observed range plus horizon.
 
+    The settings are keyword-only: ``mode`` ("simulated" or "one_step"),
+    ``variant`` (a ModelVariant or its string value), ``clamp_nonnegative``
+    and ``horizon`` (0, or anything operator.index accepts); a value outside
+    those raises ParameterError (tests/test_forecast.py::TestForecastSettings).
+
     Classical is generated first for every variant, so its DivergenceError is
-    the one raised when it diverges. With variant ``auto`` the in-sample SSE of
-    all three variants is computed in the given mode and the minimiser wins;
+    the one raised when it diverges, and every command fails on it alike
+    (tests/test_cli.py::TestOneCandidateSet). With variant ``auto`` the
+    in-sample SSE of all three variants is computed in the given mode and the
+    minimiser wins;
     ties break in the order classical, modified_add, modified_subtract, so the
     correction is only applied when it strictly helps. The mean demand entering
     the correction is computed once from the observed series and frozen for the

@@ -199,8 +199,13 @@ def parse_generic_csv(text: str, date_column: str | int = 0,
     """Parse a CSV with one header row into a series of (period label, numeric demand).
 
     date_column and value_column select the two columns by header name or
-    0-based index. A text _split_series reads is taken whole; any other is
-    read row by row.
+    0-based index. A text _split_series reads is taken whole, with no copy
+    into a StringIO (tests/test_ingest.py::test_split_path_builds_no_stringio);
+    any other is read row by row, cell by cell (column count, label order, then
+    value) as the Trends parser reads, so only a file the whole-file path
+    refuses pays for the slower row loop. Both paths give the same series, or
+    the same error class, message and row
+    (tests/test_ingest.py::test_one_pass_parser_matches_row_by_row_reference).
     """
     series = _split_series(text, date_column, value_column)
     if series is not None:
@@ -312,12 +317,20 @@ def _quoted(label: str) -> str:
 def csv_text(header: Sequence[str], labels: Sequence[str], *columns: np.ndarray) -> str:
     """CSV text: the header, then one line per label with its value from each float64 column.
 
-    A value cell is the float's repr, or "" past the end of a shorter column;
-    neither needs quoting, so the text is one C-level join of the cells. A
-    column object given more than once is formatted once and its cells shared.
-    A label that holds ',', '"', CR or LF is quoted in RFC 4180 style (wrapped
-    in '"', inner '"' doubled); one search over all the labels decides
-    whether any label does.
+    Every CSV basscast writes comes from here: predictions.csv of evaluate and
+    forecast, and to_generic_csv, which synth writes. A value cell is the repr
+    of a Python float from ``tolist()``, or "" past the end of a shorter column
+    (forecast's horizon rows); neither needs quoting, so the text is one
+    C-level join of the cells. A column object given more than once is
+    formatted once and its cells shared: 2n reprs for n rows of
+    predictions.csv, not 3n, when classical wins
+    (tests/test_cli.py::TestSharedCurveFormattedOnce). A label that holds ',',
+    '"', CR or LF is quoted in RFC 4180 style (wrapped in '"', inner '"'
+    doubled); one search over all the labels decides whether any label does.
+    The bytes are those of csv.writer, kept in tests/oracles.py, wherever its
+    file reads back as the table it was given
+    (tests/test_cli.py::test_predictions_csv_bytes_match_csv_writer and
+    tests/test_cli.py::test_generic_csv_bytes_match_csv_writer).
     """
     if _NEEDS_QUOTES.search("".join(labels)):
         labels = list(map(_quoted, labels))

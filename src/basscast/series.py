@@ -23,6 +23,9 @@ class TimeSeries:
     correctly by construction). Demand values are real numbers per period;
     they are normally non-negative, but negativity is not enforced so that
     model-generated curves with slightly negative tails remain representable.
+    The label order is checked in one C-level pass, and the labels are walked
+    only to name the first pair out of order
+    (tests/test_series.py::TestTimeSeries::test_unordered_error_names_the_first_offending_pair).
     """
 
     periods: tuple[str, ...]
@@ -81,13 +84,22 @@ def cumulative(series: TimeSeries) -> np.ndarray:
     Element t holds the total demand of periods 0..t-1, so the first element
     is exactly 0 and the last element plus the final demand equals the total.
     Summation is left-to-right, which makes values[t] + demands[t] ==
-    values[t+1] hold exactly in floating point. The sum runs once per TimeSeries.
+    values[t+1] hold exactly in floating point. The sum, one np.cumsum, runs
+    once per TimeSeries, and the fit, mean_demand, the one-step curves and both
+    modes of ``evaluate --mode both`` read that one array
+    (tests/test_series.py::TestCumulative::test_computed_once_per_series_and_read_only
+    and tests/test_cli.py::TestOneCumulativePass).
     """
     return series._lagged
 
 
 def mean_demand(series: TimeSeries) -> float:
-    """Arithmetic mean of all demand values: cumulative's left-to-right total, inf past float64."""
+    """Arithmetic mean of all demand values: cumulative's left-to-right total, inf past float64.
+
+    The total is cumulative's last element plus the final demand, so a total
+    past float64 is inf here as there, without a numpy warning
+    (tests/test_series.py::TestMeanDemand::test_overflowing_total_is_inf_without_a_warning).
+    """
     return (float(cumulative(series)[-1]) + float(series.demands[-1])) / len(series)
 
 

@@ -37,7 +37,8 @@ def _escape(text: str) -> str:
     The entities are what the stdlib SAX ``escape`` writes. That ``escape`` is
     not imported: its module loads urllib.request and, with it, the http, ssl,
     socket and email packages, about a fifth of the memory of a basscast
-    process that never uses them.
+    process that never uses them
+    (tests/test_cli.py::test_cli_import_loads_no_network_or_mail_modules).
     """
     text = _XML_FORBIDDEN.sub("\ufffd", text)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -63,9 +64,14 @@ def render_comparison_svg(report: EvaluationReport) -> str:
     The actual, classical and modified curves are drawn as polylines (solid,
     dashed, dash-dot) over the observed range with linear min-max scaling, a
     legend, axis labels and a caption carrying the SSE and improvement figures.
+    The x coordinates depend only on n, so they are formatted once, into one
+    template that each curve fills with its y values in one C-level ``%``.
     One pass over the three curves draws each polyline with its legend entry;
     a curve passed twice as the same array (modified is classical when
-    classical wins) is scaled and formatted once, and both polylines share it.
+    classical wins) is scaled and formatted once, and both polylines share it
+    (tests/test_cli.py::TestSharedCurveFormattedOnce). The bytes are those of
+    the per-point renderer kept in tests/oracles.py, with and without a shared
+    curve (tests/test_svgplot.py::test_svg_bytes_match_numpy_scalar_formatting).
     """
     series = report.series
     _check_points(series)

@@ -52,7 +52,10 @@ def profile(series: TimeSeries) -> TailProfile:
 
     The tail starts at the first post-peak index where demand drops to the
     threshold HEIGHT_FRACTION * (peak - min) + min, measured over the curve's
-    actual range; it is n when no post-peak value crosses it (empty tail).
+    actual range; it is n, an empty tail, when no post-peak value crosses it
+    (tests/test_tail.py::TestDetectTailStart::test_equals_hand_enumeration).
+    HEIGHT_FRACTION (0.5) and RATIO_SCALE (1.6) are module constants, not
+    parameters.
     """
     n = len(series)
     peak_index = int(series.demands.argmax())

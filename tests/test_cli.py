@@ -356,6 +356,10 @@ class TestEvaluateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["variant_used"] == "modified_subtract"
         assert report["improvement_percent"] == 7.297567105369511
+        # The README's "Prediction modes" section quotes this example's number.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Prediction modes\n")[1].split("\n## ")[0]
+        assert f"`improvement_percent` {report['improvement_percent']!r}" in section
 
     def test_forced_variant_flag(self, tmp_path):
         csv_path = write_mono_peak(tmp_path / "series.csv")

@@ -1,4 +1,5 @@
 """The example scripts and the basscast entry point run end to end against this checkout."""
+import ast
 import os
 import re
 import shlex
@@ -26,6 +27,47 @@ def test_script_exits_zero(tmp_path, name, args, outputs):
     assert result.returncode == 0, result.stderr
     for output in outputs:
         assert (tmp_path / output).stat().st_size > 0
+
+
+def test_readme_quotes_the_tail_study_summary():
+    """The README's "Experiment scripts" section holds the summary lines of a 200-seed study."""
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                             str(SCRIPTS / "tail_benefit_study.py"), "--seeds", "200"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    summary = result.stdout.splitlines()[-2:]
+    assert summary[0].startswith("strict wins: ") and summary[1].startswith("improvement: ")
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "\n## Experiment scripts\n")[1]
+    for line in summary:
+        assert f"\n{line}\n" in section, line
+
+
+# tests/<file>.py, then optionally ::<Name> and ::<name> inside it.
+_TEST_REFERENCE = re.compile(r"tests/(\w+\.py)((?:::\w+)*)")
+
+
+def test_tests_named_in_the_readme_and_the_source_exist():
+    """Each test file, class or function that the README or a module under src/ names exists."""
+    documents = [ROOT / "README.md", *sorted((ROOT / "src" / "basscast").glob("*.py"))]
+    references = {match.groups() for document in documents
+                  for match in _TEST_REFERENCE.finditer(document.read_text(encoding="utf-8"))}
+    assert references
+    missing = []
+    for file, names in sorted(references):
+        path = ROOT / "tests" / file
+        if not path.is_file():
+            missing.append(f"tests/{file}")
+            continue
+        scope = ast.parse(path.read_text(encoding="utf-8")).body
+        for name in names.split("::")[1:]:
+            found = [node for node in scope if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     and node.name == name]
+            if not found:
+                missing.append(f"tests/{file}{names}")
+                break
+            scope = found[0].body
+    assert not missing, missing
 
 
 def _overflow_csv(path):
